@@ -1,7 +1,8 @@
 """Command-line front end: synth, verify, simulate, pagerank, gatecount.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O
-error.  Output files are deterministic for a fixed invocation.
+Exit codes: 0 success, 1 verification failure (a failed verify, or
+PageRank leakage out of the valid vertices), 2 invalid input, 3 I/O error.
+Output files are deterministic for a fixed invocation.
 """
 
 import argparse
@@ -18,19 +19,24 @@ SYNTH_GRAPHS = ("cycle", "complete", "bipartite", "crown", "wheel",
                 "wheel_directed", "win", "k2", "directed8", "circulant")
 
 
+class NoSynthesis(ValueError):
+    """The spec names a valid chain that has no gate synthesis."""
+
+
 def _log2_exact(n: int, what: str) -> int:
     m = int(n).bit_length() - 1
     if n < 1 or 2 ** m != n:
-        raise ValueError(f"{what} must be a power of two for synthesis, got {n}")
+        raise NoSynthesis(f"no gate synthesis: {what} must be a power of two, got {n}")
     return m
 
 
-def build_walk(spec: dict):
+def build_walk(spec: dict, require_circuit: bool = False):
     """Resolve a graph spec dict into (label, transition matrix, circuit).
 
     The circuit is None for specs outside the synthesizable classes
     ("custom" matrices, non-power-of-two sizes); those still work wherever
-    an oracle backend suffices.
+    an oracle backend suffices.  With ``require_circuit`` such a spec
+    raises NoSynthesis, a ValueError that names the reason, instead.
     """
     kind = spec.get("type")
     params = spec.get("params", {})
@@ -38,32 +44,44 @@ def build_walk(spec: dict):
         column = np.asarray(params["column"], dtype=float)
         offset_x = int(params.get("offset_x", 1))
         p = markov.circulant(column, offset_x)
-        return (f"circulant-{column.size}-x{offset_x}", p,
-                synth.synth_circulant(np.sqrt(column), offset_x))
-    p = markov.from_spec(spec)
-    circuit = None
-    if kind == "cycle":
-        circuit = synth.synth_cycle(_log2_exact(int(params["n"]), "n"))
-    elif kind == "complete":
-        circuit = synth.synth_complete(_log2_exact(int(params["n"]), "n"))
-    elif kind == "bipartite":
-        n1, n2 = int(params["n1"]), int(params["n2"])
-        circuit = synth.synth_bipartite(_log2_exact(n1, "n1"), _log2_exact(n2, "n2"))
-    elif kind == "crown":
-        circuit = synth.synth_crown(_log2_exact(int(params["n"]), "n"))
-    elif kind in ("wheel", "wheel_directed"):
-        m = _log2_exact(int(params["n"]), "n")
-        circuit = synth.synth_wheel(m, directed=kind == "wheel_directed",
-                                    alpha=float(params.get("alpha", 0.85)))
-    elif kind == "win":
-        circuit = synth.synth_win_cycles(_log2_exact(int(params["n1"]), "n1"),
-                                         _log2_exact(int(params["n2"]), "n2"))
-    elif kind == "k2":
-        circuit = synth.synth_k2()
-    elif kind == "directed8":
-        circuit = synth.synth_directed8(float(params.get("alpha", 0.85)))
-    name = kind + "-" + "-".join(str(v) for v in params.values()) if params else kind
+        name = f"circulant-{column.size}-x{offset_x}"
+    else:
+        p = markov.from_spec(spec)
+        name = kind + "-" + "-".join(str(v) for v in params.values()) if params else kind
+    try:
+        circuit = _synthesize(kind, params, p)
+    except NoSynthesis:
+        if require_circuit:
+            raise
+        circuit = None
     return name, p, circuit
+
+
+def _synthesize(kind: str, params: dict, p: np.ndarray):
+    if kind == "circulant":
+        _log2_exact(p.shape[0], "column length")
+        return synth.synth_circulant(np.sqrt(p[:, 0]), int(params.get("offset_x", 1)))
+    if kind == "cycle":
+        return synth.synth_cycle(_log2_exact(int(params["n"]), "n"))
+    if kind == "complete":
+        return synth.synth_complete(_log2_exact(int(params["n"]), "n"))
+    if kind == "bipartite":
+        n1, n2 = int(params["n1"]), int(params["n2"])
+        return synth.synth_bipartite(_log2_exact(n1, "n1"), _log2_exact(n2, "n2"))
+    if kind == "crown":
+        return synth.synth_crown(_log2_exact(int(params["n"]), "n"))
+    if kind in ("wheel", "wheel_directed"):
+        m = _log2_exact(int(params["n"]), "n")
+        return synth.synth_wheel(m, directed=kind == "wheel_directed",
+                                 alpha=float(params.get("alpha", 0.85)))
+    if kind == "win":
+        return synth.synth_win_cycles(_log2_exact(int(params["n1"]), "n1"),
+                                      _log2_exact(int(params["n2"]), "n2"))
+    if kind == "k2":
+        return synth.synth_k2()
+    if kind == "directed8":
+        return synth.synth_directed8(float(params.get("alpha", 0.85)))
+    raise NoSynthesis(f"no gate synthesis for {kind!r} specs; only the oracle backend applies")
 
 
 def _spec_from_args(args) -> dict:
@@ -107,17 +125,13 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_synth(args) -> int:
-    _, _, circuit = build_walk(_spec_from_args(args))
-    if circuit is None:
-        raise ValueError("this spec has no gate synthesis; only the oracle backend applies")
+    _, _, circuit = build_walk(_spec_from_args(args), require_circuit=True)
     _write_or_print(to_text(circuit), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    _, p, circuit = build_walk(_spec_from_args(args))
-    if circuit is None:
-        raise ValueError("this spec has no gate synthesis to verify")
+    _, p, circuit = build_walk(_spec_from_args(args), require_circuit=True)
     report = synth.verify(circuit, p, tolerance=args.tol)
     print(json.dumps({"max_deviation": report.max_deviation,
                       "leakage": report.leakage,
@@ -137,7 +151,7 @@ def cmd_simulate(args) -> int:
         walk = oracle.walk_operator(p)
         state = oracle.initial_superposition(p).astype(complex)
         for _ in range(args.steps):
-            state = walk.matrix @ state
+            state = walk.apply(state)
     lines = [pagerank.CSV_VERSION_HEADER, "index,re,im"]
     lines += [f"{k},{state[k].real:.12e},{state[k].imag:.12e}" for k in range(state.size)]
     _write_or_print("\n".join(lines) + "\n", args.out)
@@ -227,7 +241,10 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, json.JSONDecodeError, pagerank.LeakageError) as exc:
+    except pagerank.LeakageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

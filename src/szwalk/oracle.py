@@ -1,11 +1,13 @@
-"""Exact dense walk operator built directly from the definitions.
+"""The Szegedy walk operator, applied matrix-free or built densely.
 
-This is the verification backbone: every synthesized circuit is compared
-against these matrices.  For a column-stochastic P on N states the single
-step operator is ``S (2 Pi - I)`` where Pi projects onto the states
-``|i> (x) |phi_i>``, ``|phi_i>`` holds the square roots of column i, and S
-swaps the two registers.  Everything here is ground truth only, never the
-performance path, so sizes are guarded at N <= 64 (matrix dimension 4096).
+For a column-stochastic P on N states the single step operator is
+``S (2 Pi - I)`` where Pi projects onto the states ``|i> (x) |phi_i>``,
+``|phi_i>`` holds the square roots of column i, and S swaps the two
+registers.  ``WalkOracle.apply`` is the oracle backend: it applies one
+step to a state in O(N^2) without forming any N^2 x N^2 matrix, so it runs
+at any N.  The dense matrix is the ground truth every synthesized circuit
+is verified against; it is built only on demand and guarded at N <= 64
+(matrix dimension 4096).
 """
 
 import math
@@ -20,14 +22,37 @@ N_STATES_GUARD = 64
 
 @dataclass(frozen=True)
 class WalkOracle:
-    """Dense N^2 x N^2 walk operator for an N-state chain."""
+    """Walk operator of an N-state chain; row i of ``columns`` is |phi_i>."""
 
     n_states: int
-    matrix: np.ndarray
+    columns: np.ndarray
 
     @property
     def valid_dim(self) -> int:
         return self.n_states ** 2
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """One walk step on a native length-N^2 state, real or complex.
+
+        Viewed as an N x N array A with A[i, j] the amplitude of |i,j>, the
+        reflection maps row i to ``2 c_i phi_i - A_i`` with
+        ``c_i = <phi_i|A_i>`` (phi is real, so nothing is conjugated), and
+        the swap transposes the result.
+        """
+        n = self.n_states
+        a = np.asarray(state).reshape(n, n)
+        c = np.einsum("ij,ij->i", a, self.columns)
+        return (2.0 * c[:, None] * self.columns - a).T.reshape(n * n)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense N^2 x N^2 operator, built on each access: the reflection
+        with row i*N+j taken from row j*N+i, which is S (2 Pi - I)."""
+        n = self.n_states
+        if n > N_STATES_GUARD:
+            raise ValueError(f"dense oracle limited to N <= {N_STATES_GUARD}, got {n}")
+        swapped = np.arange(n * n).reshape(n, n).T.reshape(n * n)
+        return _reflection(self.columns)[swapped]
 
 
 def column_state(p: np.ndarray, i: int) -> np.ndarray:
@@ -50,31 +75,30 @@ def swap_matrix(n: int) -> np.ndarray:
 
 def reflection(p: np.ndarray) -> np.ndarray:
     """The reflection 2 Pi - I about the span of the projector states."""
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
+    return _reflection(np.sqrt(np.asarray(p, dtype=float)).T)
+
+
+def _reflection(columns: np.ndarray) -> np.ndarray:
+    n = columns.shape[0]
     r = -np.eye(n * n)
-    for i in range(n):
-        phi = np.sqrt(p[:, i])
+    for i, phi in enumerate(columns):
         block = slice(i * n, (i + 1) * n)
         r[block, block] += 2.0 * np.outer(phi, phi)
     return r
 
 
 def walk_operator(p: np.ndarray) -> WalkOracle:
-    """Single-step Szegedy walk operator S (2 Pi - I) as a dense matrix."""
+    """Single-step Szegedy walk operator S (2 Pi - I) of a validated chain."""
     p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    if n > N_STATES_GUARD:
-        raise ValueError(f"oracle limited to N <= {N_STATES_GUARD}, got {n}")
     report = validate(p)
     if not report.ok:
         raise ValueError(f"invalid transition matrix: column deviation "
                          f"{report.max_column_deviation:.3e}, min entry {report.min_entry:.3e}")
-    return WalkOracle(n_states=n, matrix=swap_matrix(n) @ reflection(p))
+    return WalkOracle(n_states=p.shape[0], columns=np.ascontiguousarray(np.sqrt(p).T))
 
 
 def embed(oracle: WalkOracle, n_qubits: int) -> np.ndarray:
-    """Embed the oracle on two n-qubit registers.
+    """Embed the dense oracle on two n-qubit registers.
 
     Basis states |i,j> with both i, j < N carry the oracle block; any basis
     state with either index >= N is mapped to itself.  The result stays
@@ -84,9 +108,10 @@ def embed(oracle: WalkOracle, n_qubits: int) -> np.ndarray:
     dim_reg = 2 ** n_qubits
     if dim_reg < n:
         raise ValueError(f"register of {n_qubits} qubit(s) too small for N={n}")
+    block = oracle.matrix       # before the identity: an oversize N fails cheaply
     big = np.eye(dim_reg * dim_reg)
     valid = valid_indices(n, n_qubits)
-    big[np.ix_(valid, valid)] = oracle.matrix
+    big[np.ix_(valid, valid)] = block
     return big
 
 

@@ -4,9 +4,9 @@ The instantaneous rank of vertex j at step t is the register-2 marginal
 probability ``Q(j, t) = |<j|_2 (U_walk^2)^t |psi_0>|^2`` starting from the
 equal superposition over the projector states; the PageRank proper is the
 running average of Q over T double-steps.  Either backend (gate circuit or
-dense oracle) may drive the evolution; for a circuit on embedded registers
-the probability found on invalid vertex states is monitored and the run
-aborts if it ever exceeds the leakage tolerance.
+the matrix-free oracle kernel) may drive the evolution; for a circuit on
+embedded registers the probability found on invalid vertex states is
+monitored and the run aborts if it ever exceeds the leakage tolerance.
 """
 
 import csv
@@ -53,12 +53,11 @@ def run(walk, p: np.ndarray, steps: int = 1000,
     if isinstance(walk, WalkOracle):
         if walk.n_states != n_states:
             raise ValueError(f"oracle is for N={walk.n_states}, matrix has N={n_states}")
-        u2 = walk.matrix @ walk.matrix
         state = initial_superposition(p)
         for t in range(steps):
             inst[t] = (np.abs(state.reshape(n_states, n_states)) ** 2).sum(axis=0)
             if t + 1 < steps:
-                state = u2 @ state
+                state = walk.apply(walk.apply(state))
     elif isinstance(walk, Circuit):
         n = max((n_states - 1).bit_length(), 1)
         if walk.width != 2 * n:

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from szwalk import markov
+from szwalk import cli, markov, oracle
 from szwalk.cli import main
 from szwalk.gates import from_text
-from szwalk.synth import verify
+from szwalk.synth import shift_circuit, verify
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +32,13 @@ class TestVerifyCommand:
     def test_invalid_input_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--graph", "cycle", "--n", "6")
         assert code == 2 and "power of two" in err
+
+    def test_no_synthesis_exits_two(self, capsys, tmp_path):
+        spec = tmp_path / "circ6.json"
+        spec.write_text(json.dumps({"type": "circulant",
+                                    "params": {"column": [0, 0.5, 0, 0, 0, 0.5]}}))
+        code, _, err = run_cli(capsys, "verify", "--spec", str(spec))
+        assert code == 2 and "no gate synthesis" in err
 
     def test_missing_graph_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "verify")
@@ -61,6 +68,10 @@ class TestSynthCommand:
         assert code == 0
         assert verify(from_text(out), markov.complete_graph(4)).passed
 
+    def test_no_synthesis_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "synth", "--graph", "cycle", "--n", "6")
+        assert code == 2 and "no gate synthesis" in err and out == ""
+
 
 class TestPagerankCommand:
     def test_deterministic_csv_bytes(self, capsys, tmp_path):
@@ -84,6 +95,25 @@ class TestPagerankCommand:
         assert len(avg) == 8
         assert abs(sum(avg.values()) - 1.0) < 1e-9
 
+    def test_oracle_fallback_for_non_power_of_two(self, capsys, tmp_path):
+        summary = tmp_path / "c6.json"
+        code, _, _ = run_cli(capsys, "pagerank", "--graph", "cycle", "--n", "6",
+                             "--steps", "5", "--backend", "oracle",
+                             "--out", str(tmp_path / "c6.csv"),
+                             "--summary-json", str(summary))
+        assert code == 0
+        avg = json.loads(summary.read_text())
+        assert len(avg) == 6
+        assert abs(sum(avg.values()) - 1.0) < 1e-9
+
+    def test_leakage_exits_one(self, capsys, tmp_path, monkeypatch):
+        # a "wheel" circuit that drives register 2 onto invalid vertices
+        monkeypatch.setattr(cli.synth, "synth_wheel",
+                            lambda *a, **k: shift_circuit(4, 1, "right", width=8, offset=4))
+        code, _, err = run_cli(capsys, "pagerank", "--graph", "wheel", "--n", "8",
+                               "--steps", "3", "--out", str(tmp_path / "w8.csv"))
+        assert code == 1 and "invalid vertices" in err
+
 
 class TestSimulateCommand:
     def test_statevector_csv(self, capsys, tmp_path):
@@ -97,6 +127,18 @@ class TestSimulateCommand:
         # one walk step maps the K_2 superposition onto itself
         np.testing.assert_allclose(values[:, 0], [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0],
                                    atol=1e-12)
+
+    def test_oracle_fallback_matches_dense_step(self, capsys, tmp_path):
+        out = tmp_path / "c6.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--graph", "cycle", "--n", "6",
+                             "--steps", "2", "--out", str(out))
+        assert code == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        values = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
+        p = markov.cycle_graph(6)
+        u = oracle.walk_operator(p).matrix
+        np.testing.assert_allclose(values[:, 0] + 1j * values[:, 1],
+                                   u @ u @ oracle.initial_superposition(p), atol=1e-12)
 
 
 class TestGatecountCommand:

@@ -22,6 +22,14 @@ def reference_walk_matrix(p):
     return s @ (2 * pi_proj - np.eye(n * n))
 
 
+REFERENCE_CHAINS = [
+    markov.cycle_graph(8),
+    markov.complete_bipartite(4, 2),
+    markov.google_matrix(markov.directed_example8(), 0.85),
+    markov.win_cycles(4, 4),
+]
+
+
 class TestColumnState:
     def test_c8_profile(self):
         phi = oracle.column_state(markov.cycle_graph(8), 0)
@@ -55,15 +63,16 @@ class TestWalkOperator:
             w.matrix, [[-1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
             atol=1e-15)
 
-    @pytest.mark.parametrize("p", [
-        markov.cycle_graph(8),
-        markov.complete_bipartite(4, 2),
-        markov.google_matrix(markov.directed_example8(), 0.85),
-        markov.win_cycles(4, 4),
-    ])
+    @pytest.mark.parametrize("p", REFERENCE_CHAINS)
     def test_matches_reference_construction(self, p):
         np.testing.assert_allclose(oracle.walk_operator(p).matrix,
                                    reference_walk_matrix(p), atol=1e-13)
+
+    @pytest.mark.parametrize("p", REFERENCE_CHAINS)
+    def test_matrix_is_swapped_reflection(self, p):
+        n = p.shape[0]
+        assert np.array_equal(oracle.walk_operator(p).matrix,
+                              oracle.swap_matrix(n) @ oracle.reflection(p))
 
     def test_unitary_for_random_stochastic(self):
         rng = np.random.default_rng(41)
@@ -82,12 +91,31 @@ class TestWalkOperator:
         np.testing.assert_array_equal(s @ s, np.eye(25))
 
     def test_guard(self):
+        # the kernel runs at any N; only the dense matrix is guarded
+        big = oracle.walk_operator(np.eye(65))
         with pytest.raises(ValueError):
-            oracle.walk_operator(np.eye(65))
+            big.matrix
+        with pytest.raises(ValueError):
+            oracle.embed(big, 7)
 
     def test_rejects_invalid_matrix(self):
         with pytest.raises(ValueError):
             oracle.walk_operator(np.eye(4) * 0.5)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64])
+    def test_apply_matches_dense_matrix(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.random((n, n))
+        p /= p.sum(axis=0)
+        walk = oracle.walk_operator(p)
+        u = walk.matrix
+        for _ in range(3):
+            state = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+            assert np.abs(walk.apply(state) - u @ state).max() < 1e-12
+        real = rng.normal(size=n * n)
+        assert np.abs(walk.apply(real) - u @ real).max() < 1e-12
 
 
 class TestEmbed:

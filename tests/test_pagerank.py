@@ -22,6 +22,12 @@ class TestRun:
         np.testing.assert_allclose(series.average, series.instantaneous.mean(axis=0),
                                    atol=1e-12)
 
+    def test_oracle_beyond_dense_guard(self):
+        p = markov.google_matrix(markov.wheel_graph(1024), 0.85)
+        series = pagerank.run(oracle.walk_operator(p), p, steps=3)
+        assert series.instantaneous.shape == (3, 1025)
+        np.testing.assert_allclose(series.instantaneous.sum(axis=1), 1.0, atol=1e-10)
+
     @pytest.mark.parametrize("build", [
         lambda: (synth_k2(), markov.complete_graph(2)),
         lambda: (synth_cycle(2), markov.cycle_graph(4)),
