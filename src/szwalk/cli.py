@@ -15,105 +15,59 @@ from . import markov, oracle, pagerank, synth
 from .gates import gate_count, to_text
 from .simulator import apply
 
-SYNTH_GRAPHS = ("cycle", "complete", "bipartite", "crown", "wheel",
-                "wheel_directed", "win", "k2", "directed8", "circulant")
+# Spec parameters with a flag of the same name; --m gives n as 2**m.
+PARAM_FLAGS = ("n", "n1", "n2", "alpha")
+GRAPH_CHOICES = tuple(kind for kind, graph in markov.GRAPHS.items()
+                      if set(graph.params) <= set(PARAM_FLAGS))
 
 
-class NoSynthesis(ValueError):
-    """The spec names a valid chain that has no gate synthesis."""
+def build_walk(spec: dict):
+    """Resolve a graph spec dict into (label, transition matrix, synthesize).
 
-
-def _log2_exact(n: int, what: str) -> int:
-    m = int(n).bit_length() - 1
-    if n < 1 or 2 ** m != n:
-        raise NoSynthesis(f"no gate synthesis: {what} must be a power of two, got {n}")
-    return m
-
-
-def build_walk(spec: dict, require_circuit: bool = False):
-    """Resolve a graph spec dict into (label, transition matrix, circuit).
-
-    The circuit is None for specs outside the synthesizable classes
-    ("custom" matrices, non-power-of-two sizes); those still work wherever
-    an oracle backend suffices.  With ``require_circuit`` such a spec
-    raises NoSynthesis, a ValueError that names the reason, instead.
+    ``synthesize()`` builds the walk circuit when a command runs it.  For
+    specs outside the synthesizable classes ("custom" matrices,
+    non-power-of-two sizes) it raises NoSynthesis, a ValueError that names
+    the reason; commands that can run on the oracle fall back to it.
     """
-    kind = spec.get("type")
-    params = spec.get("params", {})
-    if kind == "circulant":
-        column = np.asarray(params["column"], dtype=float)
-        offset_x = int(params.get("offset_x", 1))
-        p = markov.circulant(column, offset_x)
-        name = f"circulant-{column.size}-x{offset_x}"
+    graph, params = markov.resolve(spec)
+    if spec["type"] == "circulant":
+        label = f"circulant-{len(params['column'])}-x{int(params['offset_x'])}"
     else:
-        p = markov.from_spec(spec)
-        name = kind + "-" + "-".join(str(v) for v in params.values()) if params else kind
+        label = "-".join([spec["type"], *map(str, spec.get("params", {}).values())])
+    return label, graph.matrix(params), lambda: graph.synth(synth, params)
+
+
+def _circuit_or_none(synthesize):
     try:
-        circuit = _synthesize(kind, params, p)
-    except NoSynthesis:
-        if require_circuit:
-            raise
-        circuit = None
-    return name, p, circuit
-
-
-def _synthesize(kind: str, params: dict, p: np.ndarray):
-    if kind == "circulant":
-        _log2_exact(p.shape[0], "column length")
-        return synth.synth_circulant(np.sqrt(p[:, 0]), int(params.get("offset_x", 1)))
-    if kind == "cycle":
-        return synth.synth_cycle(_log2_exact(int(params["n"]), "n"))
-    if kind == "complete":
-        return synth.synth_complete(_log2_exact(int(params["n"]), "n"))
-    if kind == "bipartite":
-        n1, n2 = int(params["n1"]), int(params["n2"])
-        return synth.synth_bipartite(_log2_exact(n1, "n1"), _log2_exact(n2, "n2"))
-    if kind == "crown":
-        return synth.synth_crown(_log2_exact(int(params["n"]), "n"))
-    if kind in ("wheel", "wheel_directed"):
-        m = _log2_exact(int(params["n"]), "n")
-        return synth.synth_wheel(m, directed=kind == "wheel_directed",
-                                 alpha=float(params.get("alpha", 0.85)))
-    if kind == "win":
-        return synth.synth_win_cycles(_log2_exact(int(params["n1"]), "n1"),
-                                      _log2_exact(int(params["n2"]), "n2"))
-    if kind == "k2":
-        return synth.synth_k2()
-    if kind == "directed8":
-        return synth.synth_directed8(float(params.get("alpha", 0.85)))
-    raise NoSynthesis(f"no gate synthesis for {kind!r} specs; only the oracle backend applies")
+        return synthesize()
+    except markov.NoSynthesis:
+        return None
 
 
 def _spec_from_args(args) -> dict:
-    if getattr(args, "spec", None):
+    flags = {name: getattr(args, name) for name in (*PARAM_FLAGS, "m", "directed")
+             if getattr(args, name) is not None}
+    if args.spec:
+        if flags:
+            raise ValueError(f"--spec takes no --{next(iter(flags))}")
         with open(args.spec) as fh:
             return json.load(fh)
     if not args.graph:
         raise ValueError("pass --graph or --spec")
     kind = args.graph
-    if kind == "wheel" and getattr(args, "directed", False):
-        kind = "wheel_directed"
-    params = {}
-    if kind in ("cycle", "complete", "crown"):
-        if args.n is None:
-            raise ValueError(f"--graph {kind} needs --n")
-        params["n"] = args.n
-    elif kind in ("bipartite", "win"):
-        if args.n1 is None or args.n2 is None:
-            raise ValueError(f"--graph {kind} needs --n1 and --n2")
-        params["n1"], params["n2"] = args.n1, args.n2
-    elif kind in ("wheel", "wheel_directed"):
-        n = args.n if args.n is not None else (2 ** args.m if args.m is not None else None)
-        if n is None:
-            raise ValueError("--graph wheel needs --n (outer vertices) or --m")
-        params["n"] = n
-        params["alpha"] = args.alpha
-    elif kind == "directed8":
-        params["alpha"] = args.alpha
-    elif kind == "circulant":
-        raise ValueError("circulant chains are specified via --spec JSON "
-                         "(params: column, offset_x)")
-    return {"type": kind, "params": params}
+    if flags.pop("directed", False):
+        kind = f"{args.graph}_directed"
+        if kind not in markov.GRAPHS:
+            raise ValueError(f"--graph {args.graph} takes no --directed")
+    schema = markov.GRAPHS[kind].params
+    for flag in flags:
+        if ("n" if flag == "m" else flag) not in schema:
+            raise ValueError(f"--graph {args.graph} takes no --{flag}")
+    if "m" in flags:
+        flags["n"] = 2 ** flags.pop("m")
+    # defaults filled in, so the default output label names every parameter
+    params = {**schema, **flags}
+    return {"type": kind, "params": {k: v for k, v in params.items() if v is not markov.REQUIRED}}
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -125,14 +79,14 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_synth(args) -> int:
-    _, _, circuit = build_walk(_spec_from_args(args), require_circuit=True)
-    _write_or_print(to_text(circuit), args.out)
+    _, _, synthesize = build_walk(_spec_from_args(args))
+    _write_or_print(to_text(synthesize()), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    _, p, circuit = build_walk(_spec_from_args(args), require_circuit=True)
-    report = synth.verify(circuit, p, tolerance=args.tol)
+    _, p, synthesize = build_walk(_spec_from_args(args))
+    report = synth.verify(synthesize(), p, tolerance=args.tol)
     print(json.dumps({"max_deviation": report.max_deviation,
                       "leakage": report.leakage,
                       "pass": report.passed}))
@@ -140,7 +94,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _, p, circuit = build_walk(_spec_from_args(args))
+    _, p, synthesize = build_walk(_spec_from_args(args))
+    circuit = _circuit_or_none(synthesize)
     n_states = p.shape[0]
     n = max((n_states - 1).bit_length(), 1)
     if circuit is not None:
@@ -159,11 +114,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pagerank(args) -> int:
-    name, p, circuit = build_walk(_spec_from_args(args))
-    if args.backend == "oracle" or circuit is None:
-        walk = oracle.walk_operator(p)
-    else:
-        walk = circuit
+    name, p, synthesize = build_walk(_spec_from_args(args))
+    circuit = _circuit_or_none(synthesize) if args.backend == "circuit" else None
+    walk = oracle.walk_operator(p) if circuit is None else circuit
     series = pagerank.run(walk, p, steps=args.steps)
     out = args.out or f"pagerank_{name}.csv"
     pagerank.export(series, out, plot_path=args.plot)
@@ -177,12 +130,11 @@ def cmd_pagerank(args) -> int:
 
 
 def cmd_gatecount(args) -> int:
-    builders = {"cycle": synth.synth_cycle, "complete": synth.synth_complete}
-    classes = list(builders) if args.graph in (None, "both") else [args.graph]
+    classes = ("cycle", "complete") if args.graph == "both" else (args.graph,)
     lines = [pagerank.CSV_VERSION_HEADER, "graph,n_qubits,n_vertices,total,two_qubit_estimate"]
     for cls in classes:
         for n in range(3, args.n_max + 1):
-            total, est = gate_count(builders[cls](n))
+            total, est = gate_count(markov.GRAPHS[cls].synth(synth, {"n": 2 ** n}))
             lines.append(f"{cls},{n},{2 ** n},{total},{est}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
@@ -194,17 +146,16 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, tol=False, steps=None):
-        sp.add_argument("--graph", choices=SYNTH_GRAPHS)
+        sp.add_argument("--graph", choices=GRAPH_CHOICES)
         sp.add_argument("--spec", help="path to a JSON graph spec")
-        sp.add_argument("--n", type=int, help="vertex count (outer count for wheels)")
+        size = sp.add_mutually_exclusive_group()
+        size.add_argument("--n", type=int, help="vertex count (outer count for wheels)")
+        size.add_argument("--m", type=int, help="--n given as the exponent of 2**m")
         sp.add_argument("--n1", type=int)
         sp.add_argument("--n2", type=int)
-        sp.add_argument("--m", type=int, help="wheel outer-cycle width exponent")
-        sp.add_argument("--directed", action="store_true")
-        sp.add_argument("--alpha", type=float, default=0.85)
-        sp.add_argument("--offset-x", type=int, default=1, dest="offset_x")
+        sp.add_argument("--directed", action="store_true", default=None)
+        sp.add_argument("--alpha", type=float, help="damping (default 0.85)")
         sp.add_argument("--out")
-        sp.add_argument("--seed", type=int, default=0)
         if tol:
             sp.add_argument("--tol", type=float, default=1e-10)
         if steps is not None:

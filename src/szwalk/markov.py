@@ -7,6 +7,7 @@ arrays with the same orientation (``C[i, j] = 1`` for a link j -> i).
 """
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -195,41 +196,97 @@ def validate(p: np.ndarray, tol: float = COLUMN_SUM_TOL) -> ValidationReport:
 
 # JSON graph spec ingestion.  Schema:
 #   {"type": <tag>, "params": {...}, "matrix": [[col0...], [col1...], ...]}
-# with tags cycle | complete | bipartite | crown | wheel | wheel_directed |
-# win | k2 | directed8 | custom.  For "custom", "matrix" is a row of
-# columns: matrix[j][i] = P(i, j).  Wheel tags take an optional damping
-# "alpha" (default 0.85) and return the Google matrix directly.
+# where <tag> is a key of GRAPHS and "params" holds that entry's parameters
+# (those with a default may be left out).  Only "custom" reads "matrix",
+# kept beside the params: a row of columns, matrix[j][i] = P(i, j).
+
+class NoSynthesis(ValueError):
+    """The spec names a valid chain that has no gate synthesis."""
+
+
+def _log2_exact(n, what: str) -> int:
+    if not _is_power_of_two(int(n)):
+        raise NoSynthesis(f"no gate synthesis: {what} must be a power of two, got {n}")
+    return int(n).bit_length() - 1
+
+
+def _custom(columns) -> np.ndarray:
+    p = np.asarray(columns, dtype=float).T
+    report = validate(p)
+    if not report.ok:
+        raise ValueError(f"custom matrix fails validation: "
+                         f"max column deviation {report.max_column_deviation:.3e}, "
+                         f"min entry {report.min_entry:.3e}")
+    return p
+
+
+def _synth_custom(s, q):
+    raise NoSynthesis("no gate synthesis for 'custom' specs; only the oracle backend applies")
+
+
+REQUIRED = object()   # schema marker for a parameter without a default
+
+
+class Graph(NamedTuple):
+    """One spec tag: its parameters, each with a default or REQUIRED; the
+    transition-matrix builder ``matrix(params)``; the synthesizer
+    ``synth(s, params)``, where ``s`` is the ``szwalk.synth`` module, which
+    raises NoSynthesis outside the synthesizable sizes."""
+
+    params: dict
+    matrix: Callable
+    synth: Callable
+
+
+def _wheel(directed: bool) -> Graph:
+    return Graph({"n": REQUIRED, "alpha": 0.85},
+                 lambda q: google_matrix(wheel_graph(int(q["n"]), directed), float(q["alpha"])),
+                 lambda s, q: s.synth_wheel(_log2_exact(q["n"], "n"), directed, float(q["alpha"])))
+
+
+GRAPHS = {
+    "cycle": Graph({"n": REQUIRED}, lambda q: cycle_graph(int(q["n"])),
+                   lambda s, q: s.synth_cycle(_log2_exact(q["n"], "n"))),
+    "complete": Graph({"n": REQUIRED}, lambda q: complete_graph(int(q["n"])),
+                      lambda s, q: s.synth_complete(_log2_exact(q["n"], "n"))),
+    "bipartite": Graph({"n1": REQUIRED, "n2": REQUIRED},
+                       lambda q: complete_bipartite(int(q["n1"]), int(q["n2"])),
+                       lambda s, q: s.synth_bipartite(_log2_exact(q["n1"], "n1"),
+                                                      _log2_exact(q["n2"], "n2"))),
+    "crown": Graph({"n": REQUIRED}, lambda q: crown_graph(int(q["n"])),
+                   lambda s, q: s.synth_crown(_log2_exact(q["n"], "n"))),
+    "wheel": _wheel(False),
+    "wheel_directed": _wheel(True),
+    "win": Graph({"n1": REQUIRED, "n2": REQUIRED},
+                 lambda q: win_cycles(int(q["n1"]), int(q["n2"])),
+                 lambda s, q: s.synth_win_cycles(_log2_exact(q["n1"], "n1"),
+                                                    _log2_exact(q["n2"], "n2"))),
+    "k2": Graph({}, lambda q: complete_graph(2), lambda s, q: s.synth_k2()),
+    "directed8": Graph({"alpha": 0.85},
+                       lambda q: google_matrix(directed_example8(), float(q["alpha"])),
+                       lambda s, q: s.synth_directed8(float(q["alpha"]))),
+    "circulant": Graph({"column": REQUIRED, "offset_x": 1},
+                       lambda q: circulant(q["column"], int(q["offset_x"])),
+                       lambda s, q: s.synth_circulant(np.sqrt(q["column"]), int(q["offset_x"]))),
+    "custom": Graph({"matrix": REQUIRED}, lambda q: _custom(q["matrix"]), _synth_custom),
+}
+
+
+def resolve(spec: dict) -> tuple[Graph, dict]:
+    """A spec's GRAPHS entry and its parameters with the defaults filled in."""
+    graph = GRAPHS.get(spec.get("type"))
+    if graph is None:
+        raise ValueError(f"unknown graph spec type {spec.get('type')!r}")
+    params = {**graph.params, **spec.get("params", {})}
+    if "matrix" in spec:
+        params["matrix"] = spec["matrix"]
+    missing = [repr(name) for name, value in params.items() if value is REQUIRED]
+    if missing:
+        raise ValueError(f"{spec['type']} spec needs {', '.join(missing)}")
+    return graph, params
+
 
 def from_spec(spec: dict) -> np.ndarray:
-    kind = spec.get("type")
-    params = spec.get("params", {})
-    if kind == "cycle":
-        return cycle_graph(int(params["n"]))
-    if kind == "complete":
-        return complete_graph(int(params["n"]))
-    if kind == "bipartite":
-        return complete_bipartite(int(params["n1"]), int(params["n2"]))
-    if kind == "crown":
-        return crown_graph(int(params["n"]))
-    if kind in ("wheel", "wheel_directed"):
-        alpha = float(params.get("alpha", 0.85))
-        return google_matrix(wheel_graph(int(params["n"]), directed=kind == "wheel_directed"),
-                             alpha)
-    if kind == "win":
-        return win_cycles(int(params["n1"]), int(params["n2"]))
-    if kind == "k2":
-        return complete_graph(2)
-    if kind == "directed8":
-        return google_matrix(directed_example8(), float(params.get("alpha", 0.85)))
-    if kind == "custom":
-        cols = spec.get("matrix")
-        if cols is None:
-            raise ValueError("custom spec needs a 'matrix' entry (row of columns)")
-        p = np.asarray(cols, dtype=float).T
-        report = validate(p)
-        if not report.ok:
-            raise ValueError(f"custom matrix fails validation: "
-                             f"max column deviation {report.max_column_deviation:.3e}, "
-                             f"min entry {report.min_entry:.3e}")
-        return p
-    raise ValueError(f"unknown graph spec type {kind!r}")
+    """Transition matrix of a JSON graph spec."""
+    graph, params = resolve(spec)
+    return graph.matrix(params)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gates import (Circuit, compose, dagger, gphase, h, on_qubits, ry, swap,
                     with_controls, x, z, zp)
-from .markov import directed_example8, google_matrix, validate, wheel_graph
+from .markov import NoSynthesis, directed_example8, google_matrix, validate, wheel_graph
 from .oracle import column_state, embed, valid_indices, walk_operator
 from .simulator import apply, basis_state, unitary_of
 
@@ -73,6 +73,20 @@ def shift_circuit(n: int, amount: int, direction: str = "left", controls=(),
     return Circuit(width, gates)
 
 
+def _bit_shifts(bits, offset, width, offset_x=1, direction="left", before=(), after=()):
+    """Shift the len(bits)-qubit register at ``offset`` by ``offset_x`` times
+    the value of the qubits ``bits`` (first = MSB): one shift per bit,
+    controlled on it, with the extra controls ``before`` and ``after``."""
+    r = len(bits)
+    gates = []
+    for k, q in enumerate(bits):
+        amount = (offset_x * 2 ** (r - 1 - k)) % 2 ** r
+        gates.extend(shift_circuit(r, amount, direction,
+                                   controls=(*before, (q, 1), *after),
+                                   width=width, offset=offset).gates)
+    return Circuit(width, gates)
+
+
 def controlled_shift_transform(n: int, offset_x: int, direction: str = "left") -> Circuit:
     """The block transform ``sum_i |i><i| (x) L^(i*x)`` on 2n qubits.
 
@@ -82,15 +96,7 @@ def controlled_shift_transform(n: int, offset_x: int, direction: str = "left") -
     """
     if n < 1:
         raise ValueError("register needs at least one qubit")
-    gates = []
-    for k in range(n):
-        amount = (offset_x * 2 ** (n - 1 - k)) % 2 ** n
-        if amount == 0:
-            continue
-        piece = shift_circuit(n, amount, direction, controls=[(k, 1)],
-                              width=2 * n, offset=n)
-        gates.extend(piece.gates)
-    return Circuit(2 * n, gates)
+    return _bit_shifts(range(n), n, 2 * n, offset_x, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +242,8 @@ def circulant_parts(phi0: np.ndarray, offset_x: int = 1,
     phi0 = np.asarray(phi0, dtype=float)
     n = max(int(phi0.size - 1).bit_length(), 1)
     if phi0.size != 2 ** n:
-        raise ValueError(f"column length {phi0.size} is not a power of two")
+        raise NoSynthesis(f"no gate synthesis: column length must be a power of two, "
+                          f"got {phi0.size}")
     if kb is None:
         basis_b = 0
         kb = state_prep(phi0, basis_b)
@@ -457,7 +464,7 @@ def synth_bipartite(n1: int, n2: int) -> Circuit:
     columns within each part coincide.  Register width is n1 + 1.
     """
     if n1 < n2 or n2 < 0:
-        raise ValueError(f"need n1 >= n2 >= 0, got {n1}, {n2}")
+        raise NoSynthesis(f"no gate synthesis: need n1 >= n2 >= 0, got {n1}, {n2}")
     big_n1 = 2 ** n1
     n = n1 + 1
     pat1 = ((0, 0),)
@@ -497,18 +504,6 @@ def synth_win_cycles(n1: int, n2: int) -> Circuit:
     pat2 = ((0, 1),) + tuple((1 + k, 0) for k in range(n1 - n2))
     block2 = ((n, 1),) + tuple((n + 1 + k, 0) for k in range(n1 - n2))
 
-    t1_gates = []
-    for k in range(1, n):
-        piece = shift_circuit(n1, 2 ** (n - 1 - k), "left",
-                              controls=[(0, 0), (k, 1), (n, 0)], width=w, offset=n + 1)
-        t1_gates.extend(piece.gates)
-    t2_gates = []
-    for k in range(n2):
-        piece = shift_circuit(n2, 2 ** (n2 - 1 - k), "left",
-                              controls=pat2 + ((n - n2 + k, 1),) + block2,
-                              width=w, offset=2 * n - n2)
-        t2_gates.extend(piece.gates)
-
     theta1 = math.acos(math.sqrt(2.0 / (2.0 + big_n2)))
     kb1_gates = [ry(0, theta1)]
     kb1_gates += _cycle_pair_gates(list(range(1, n)), [(0, 0)])
@@ -520,8 +515,10 @@ def synth_win_cycles(n1: int, n2: int) -> Circuit:
     kb2_gates += _cycle_pair_gates(list(range(n - n2, n)), [(0, 1)])
 
     return _assemble(n, [
-        _Segment((pat1,), Circuit(w, t1_gates), Circuit(n, kb1_gates), 0),
-        _Segment((pat2,), Circuit(w, t2_gates), Circuit(n, kb2_gates), 0),
+        _Segment((pat1,), _bit_shifts(range(1, n), n + 1, w, before=((0, 0),), after=((n, 0),)),
+                 Circuit(n, kb1_gates), 0),
+        _Segment((pat2,), _bit_shifts(range(n - n2, n), 2 * n - n2, w, before=pat2, after=block2),
+                 Circuit(n, kb2_gates), 0),
     ])
 
 
@@ -541,12 +538,6 @@ def synth_wheel(m: int, directed: bool = False, alpha: float = 0.85) -> Circuit:
     w = 2 * n
     dim = 2 ** n
 
-    t1_gates = []
-    for k in range(1, n):
-        piece = shift_circuit(m, 2 ** (n - 1 - k), "left",
-                              controls=[(0, 0), (k, 1), (n, 0)], width=w, offset=n + 1)
-        t1_gates.extend(piece.gates)
-
     phi0 = np.zeros(dim)
     phi0[:big_n + 1] = column_state(g, 0)
     kb1 = state_prep(phi0, 0)
@@ -557,7 +548,8 @@ def synth_wheel(m: int, directed: bool = False, alpha: float = 0.85) -> Circuit:
     pat1 = ((0, 0),)
     pat2 = ((0, 1),) + tuple((q, 0) for q in range(1, n))
     return _assemble(n, [
-        _Segment((pat1,), Circuit(w, t1_gates), kb1, 0),
+        _Segment((pat1,), _bit_shifts(range(1, n), n + 1, w, before=((0, 0),), after=((n, 0),)),
+                 kb1, 0),
         _Segment((pat2,), Circuit(w), kb2, 0),
     ])
 
@@ -572,16 +564,12 @@ def synth_directed8(alpha: float = 0.85) -> Circuit:
     n = 3
     w = 2 * n
 
-    t1_gates = []
-    for k, amount in ((1, 2), (2, 1)):
-        piece = shift_circuit(2, amount, "left", controls=[(0, 0), (k, 1), (n, 0)],
-                              width=w, offset=n + 1)
-        t1_gates.extend(piece.gates)
+    t1 = _bit_shifts((1, 2), n + 1, w, before=((0, 0),), after=((n, 0),))
     t2_gates = shift_circuit(n, 2, "left", controls=[(0, 1), (1, 0), (2, 1)],
                              width=w, offset=n).gates
 
     segments = [
-        _Segment((((0, 0),),), Circuit(w, t1_gates), state_prep(column_state(g, 0), 0), 0),
+        _Segment((((0, 0),),), t1, state_prep(column_state(g, 0), 0), 0),
         _Segment((((0, 1), (1, 0)),), Circuit(w, t2_gates), state_prep(column_state(g, 4), 0), 0),
         _Segment((((0, 1), (1, 1)),), Circuit(w), state_prep(column_state(g, 6), 0), 0),
     ]

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +74,11 @@ class TestSynthCommand:
         code, out, err = run_cli(capsys, "synth", "--graph", "cycle", "--n", "6")
         assert code == 2 and "no gate synthesis" in err and out == ""
 
+    def test_bipartite_outside_synthesis_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "synth", "--graph", "bipartite",
+                                 "--n1", "2", "--n2", "8")
+        assert code == 2 and "no gate synthesis" in err and out == ""
+
 
 class TestPagerankCommand:
     def test_deterministic_csv_bytes(self, capsys, tmp_path):
@@ -105,6 +112,24 @@ class TestPagerankCommand:
         avg = json.loads(summary.read_text())
         assert len(avg) == 6
         assert abs(sum(avg.values()) - 1.0) < 1e-9
+
+    def test_bipartite_outside_synthesis_runs_on_oracle(self, capsys, tmp_path):
+        summary = tmp_path / "k28.json"
+        code, _, _ = run_cli(capsys, "pagerank", "--graph", "bipartite",
+                             "--n1", "2", "--n2", "8", "--steps", "5", "--backend", "oracle",
+                             "--out", str(tmp_path / "k28.csv"),
+                             "--summary-json", str(summary))
+        assert code == 0
+        assert len(json.loads(summary.read_text())) == 10
+
+    def test_oracle_backend_synthesizes_nothing(self, capsys, tmp_path, monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesized a circuit the oracle backend never runs")
+        monkeypatch.setattr(cli.synth, "synth_cycle", no_synthesis)
+        code, _, _ = run_cli(capsys, "pagerank", "--graph", "cycle", "--n", "8",
+                             "--steps", "3", "--backend", "oracle",
+                             "--out", str(tmp_path / "c8.csv"))
+        assert code == 0
 
     def test_leakage_exits_one(self, capsys, tmp_path, monkeypatch):
         # a "wheel" circuit that drives register 2 onto invalid vertices
@@ -177,3 +202,64 @@ class TestCirculantSpec:
         code, out, _ = run_cli(capsys, "verify", "--graph", "win",
                                "--n1", "8", "--n2", "4")
         assert code == 0 and json.loads(out)["pass"] is True
+
+
+class TestGraphFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["--graph", "cycle", "--n", "8", "--alpha", "0.5"], "--alpha"),
+        (["--graph", "cycle", "--n", "8", "--directed"], "--directed"),
+        (["--graph", "directed8", "--directed"], "--directed"),
+        (["--graph", "wheel_directed", "--n", "8", "--directed"], "--directed"),
+        (["--graph", "cycle", "--n", "8", "--n1", "4"], "--n1"),
+        (["--graph", "bipartite", "--n1", "8", "--n2", "4", "--m", "3"], "--m"),
+        (["--spec", "graph.json", "--n", "8"], "--n"),
+        (["--graph", "cycle", "--n", "8", "--alpha", "0"], "--alpha"),
+        (["--graph", "cycle", "--n", "8", "--n1", "0"], "--n1"),
+    ])
+    def test_flag_the_graph_does_not_take_exits_two(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "synth", *argv)
+        assert code == 2 and out == ""
+        assert re.search(re.escape(flag) + r"\b", err)
+
+    @pytest.mark.parametrize("flag", ["--seed", "--offset-x"])
+    def test_removed_flags_are_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--graph", "k2", flag, "1"])
+        assert exc.value.code == 2 and flag in capsys.readouterr().err
+
+    def test_zero_alpha_is_used(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(capsys, "pagerank", "--graph", "wheel", "--n", "8",
+                             "--alpha", "0", "--backend", "oracle", "--steps", "4")
+        assert code == 0 and (tmp_path / "pagerank_wheel-8-0.0.csv").exists()
+        _, p, _ = cli.build_walk(cli._spec_from_args(
+            cli.make_parser().parse_args(["pagerank", "--graph", "wheel", "--n", "8",
+                                          "--alpha", "0"])))
+        assert np.array_equal(p, markov.google_matrix(markov.wheel_graph(8), 0.0))
+
+    def test_zero_size_reports_the_range(self, capsys):
+        code, _, err = run_cli(capsys, "synth", "--graph", "cycle", "--n", "0")
+        assert code == 2 and "at least 3 vertices, got 0" in err
+
+    def test_m_is_an_alias_for_n(self, capsys):
+        assert run_cli(capsys, "synth", "--graph", "wheel", "--m", "3") == \
+            run_cli(capsys, "synth", "--graph", "wheel", "--n", "8")
+
+    def test_directed_selects_the_directed_wheel(self, capsys):
+        assert run_cli(capsys, "synth", "--graph", "wheel", "--n", "8", "--directed") == \
+            run_cli(capsys, "synth", "--graph", "wheel_directed", "--n", "8")
+
+
+def test_graph_table_matches_readme_and_choices():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Types, each with its `params`", 1)[1].split("```")[1]
+    documented = {}
+    for kind, params in re.findall(r"(\w+)\(([^)]*)\)", block):
+        documented[kind] = [p.strip() for p in params.split(",") if p.strip()]
+    table = {kind: [name if default is markov.REQUIRED else f"{name}={default}"
+                    for name, default in graph.params.items()]
+             for kind, graph in markov.GRAPHS.items()}
+    assert documented == table
+    assert list(documented) == list(markov.GRAPHS)
+    # every type but the two that need a JSON spec is a --graph choice
+    assert cli.GRAPH_CHOICES == tuple(k for k in markov.GRAPHS if k not in ("circulant", "custom"))

@@ -305,6 +305,8 @@ class TestFromSpec:
         ({"type": "k2", "params": {}}, lambda: markov.complete_graph(2)),
         ({"type": "directed8", "params": {"alpha": 0.85}},
          lambda: markov.google_matrix(markov.directed_example8(), 0.85)),
+        ({"type": "circulant", "params": {"column": [0.0, 0.5, 0.25, 0.25], "offset_x": 3}},
+         lambda: markov.circulant(np.array([0.0, 0.5, 0.25, 0.25]), 3)),
     ])
     def test_known_types(self, spec, builder):
         np.testing.assert_allclose(markov.from_spec(spec), builder(), atol=1e-15)
@@ -323,3 +325,7 @@ class TestFromSpec:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             markov.from_spec({"type": "torus", "params": {}})
+
+    def test_missing_param_names_it(self):
+        with pytest.raises(ValueError, match="'n2'"):
+            markov.from_spec({"type": "win", "params": {"n1": 8}})
