@@ -13,10 +13,9 @@ from .gates import (Circuit, Gate, compose, dagger, from_text, gate_count,
 from .markov import (circulant, complete_bipartite, complete_graph,
                      crown_graph, cycle_graph, directed_example8, from_spec,
                      google_matrix, tensor, validate, wheel_graph, win_cycles)
-from .oracle import (WalkOracle, column_state, embed, initial_superposition,
-                     walk_operator)
+from .oracle import WalkOracle, column_state, initial_superposition, walk_operator
 from .pagerank import PagerankSeries, compare_hub, export, run
-from .simulator import apply, marginal_register2, unitary_of
+from .simulator import apply, unitary_of
 from .synth import (Partition, SingleReference, controlled_shift_transform,
                     kb_complete, kb_cycle, shift_circuit, state_prep,
                     synth_bipartite, synth_circulant, synth_complete,

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import markov, oracle, pagerank, synth
 from .gates import gate_count, to_text
-from .simulator import apply
 
 # Spec parameters with a flag of the same name; --m gives n as 2**m.
 PARAM_FLAGS = ("n", "n1", "n2", "alpha")
@@ -37,11 +36,11 @@ def build_walk(spec: dict):
     return label, graph.matrix(params), lambda: graph.synth(synth, params)
 
 
-def _circuit_or_none(synthesize):
+def _circuit_or_oracle(p, synthesize):
     try:
         return synthesize()
     except markov.NoSynthesis:
-        return None
+        return oracle.walk_operator(p)
 
 
 def _spec_from_args(args) -> dict:
@@ -95,18 +94,10 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     _, p, synthesize = build_walk(_spec_from_args(args))
-    circuit = _circuit_or_none(synthesize)
-    n_states = p.shape[0]
-    n = max((n_states - 1).bit_length(), 1)
-    if circuit is not None:
-        state = oracle.initial_superposition(p, n_qubits=n).astype(complex)
-        for _ in range(args.steps):
-            state = apply(circuit, state)
-    else:
-        walk = oracle.walk_operator(p)
-        state = oracle.initial_superposition(p).astype(complex)
-        for _ in range(args.steps):
-            state = walk.apply(state)
+    state, step = pagerank.prepare(_circuit_or_oracle(p, synthesize), p)
+    state = state.astype(complex)
+    for _ in range(args.steps):
+        state = step(state)
     lines = [pagerank.CSV_VERSION_HEADER, "index,re,im"]
     lines += [f"{k},{state[k].real:.12e},{state[k].imag:.12e}" for k in range(state.size)]
     _write_or_print("\n".join(lines) + "\n", args.out)
@@ -115,8 +106,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_pagerank(args) -> int:
     name, p, synthesize = build_walk(_spec_from_args(args))
-    circuit = _circuit_or_none(synthesize) if args.backend == "circuit" else None
-    walk = oracle.walk_operator(p) if circuit is None else circuit
+    walk = (_circuit_or_oracle(p, synthesize) if args.backend == "circuit"
+            else oracle.walk_operator(p))
     series = pagerank.run(walk, p, steps=args.steps)
     out = args.out or f"pagerank_{name}.csv"
     pagerank.export(series, out, plot_path=args.plot)

@@ -273,16 +273,29 @@ GRAPHS = {
 
 
 def resolve(spec: dict) -> tuple[Graph, dict]:
-    """A spec's GRAPHS entry and its parameters with the defaults filled in."""
-    graph = GRAPHS.get(spec.get("type"))
+    """A spec's GRAPHS entry and its parameters with the defaults filled in.
+
+    Raises ValueError for a spec or ``params`` that is not a JSON object,
+    an unknown type, a parameter the type does not take or a missing one.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"graph spec must be a JSON object, got {type(spec).__name__}")
+    kind = spec.get("type")
+    graph = GRAPHS.get(kind) if isinstance(kind, str) else None
     if graph is None:
-        raise ValueError(f"unknown graph spec type {spec.get('type')!r}")
-    params = {**graph.params, **spec.get("params", {})}
+        raise ValueError(f"unknown graph spec type {kind!r}")
+    given = spec.get("params", {})
+    if not isinstance(given, dict):
+        raise ValueError(f"{kind} spec params must be a JSON object, got {type(given).__name__}")
     if "matrix" in spec:
-        params["matrix"] = spec["matrix"]
+        given = {**given, "matrix": spec["matrix"]}
+    unknown = [repr(name) for name in given if name not in graph.params]
+    if unknown:
+        raise ValueError(f"{kind} spec takes no {', '.join(unknown)}")
+    params = {**graph.params, **given}
     missing = [repr(name) for name, value in params.items() if value is REQUIRED]
     if missing:
-        raise ValueError(f"{spec['type']} spec needs {', '.join(missing)}")
+        raise ValueError(f"{kind} spec needs {', '.join(missing)}")
     return graph, params
 
 

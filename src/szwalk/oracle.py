@@ -8,6 +8,12 @@ step to a state in O(N^2) without forming any N^2 x N^2 matrix, so it runs
 at any N.  The dense matrix is the ground truth every synthesized circuit
 is verified against; it is built only on demand and guarded at N <= 64
 (matrix dimension 4096).
+
+A circuit acts on two registers of ``register_qubits(N)`` qubits each, so
+d = 2**n >= N.  One layout rule covers both sizes: a state of length d^2
+viewed as a (d, d) array holds |i,j> at [i, j], and the valid states
+i, j < N are its ``[:N, :N]`` corner.  Native oracle states are the case
+d = N.
 """
 
 import math
@@ -26,10 +32,6 @@ class WalkOracle:
 
     n_states: int
     columns: np.ndarray
-
-    @property
-    def valid_dim(self) -> int:
-        return self.n_states ** 2
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """One walk step on a native length-N^2 state, real or complex.
@@ -97,44 +99,20 @@ def walk_operator(p: np.ndarray) -> WalkOracle:
     return WalkOracle(n_states=p.shape[0], columns=np.ascontiguousarray(np.sqrt(p).T))
 
 
-def embed(oracle: WalkOracle, n_qubits: int) -> np.ndarray:
-    """Embed the dense oracle on two n-qubit registers.
-
-    Basis states |i,j> with both i, j < N carry the oracle block; any basis
-    state with either index >= N is mapped to itself.  The result stays
-    unitary because the oracle never leaves the valid subspace.
-    """
-    n = oracle.n_states
-    dim_reg = 2 ** n_qubits
-    if dim_reg < n:
-        raise ValueError(f"register of {n_qubits} qubit(s) too small for N={n}")
-    block = oracle.matrix       # before the identity: an oversize N fails cheaply
-    big = np.eye(dim_reg * dim_reg)
-    valid = valid_indices(n, n_qubits)
-    big[np.ix_(valid, valid)] = block
-    return big
-
-
-def valid_indices(n_states: int, n_qubits: int) -> np.ndarray:
-    """Embedded basis indices of the valid states |i,j>, i,j < N, in (i,j) order."""
-    dim_reg = 2 ** n_qubits
-    i = np.repeat(np.arange(n_states), n_states)
-    j = np.tile(np.arange(n_states), n_states)
-    return i * dim_reg + j
+def register_qubits(n_states: int) -> int:
+    """Qubits per register for an N-state chain: ceil(log2 N), at least 1."""
+    return max((n_states - 1).bit_length(), 1)
 
 
 def initial_superposition(p: np.ndarray, n_qubits: int | None = None) -> np.ndarray:
     """Equal superposition (1/sqrt(N)) sum_i |i> (x) |phi_i>.
 
-    With ``n_qubits`` given, the state is embedded on two n-qubit registers
-    (zero amplitude on every invalid basis state); otherwise it has native
-    length N^2.
+    With ``n_qubits`` given, the state lies on two n-qubit registers (zero
+    amplitude outside the valid corner); otherwise it has native length N^2.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
-    psi = (np.sqrt(p) / math.sqrt(n)).T.reshape(n * n)
-    if n_qubits is None:
-        return psi
-    big = np.zeros(4 ** n_qubits)
-    big[valid_indices(n, n_qubits)] = psi
-    return big
+    d = n if n_qubits is None else 2 ** n_qubits
+    psi = np.zeros((d, d))
+    psi[:n, :n] = (np.sqrt(p) / math.sqrt(n)).T
+    return psi.reshape(d * d)

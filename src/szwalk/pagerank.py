@@ -4,19 +4,23 @@ The instantaneous rank of vertex j at step t is the register-2 marginal
 probability ``Q(j, t) = |<j|_2 (U_walk^2)^t |psi_0>|^2`` starting from the
 equal superposition over the projector states; the PageRank proper is the
 running average of Q over T double-steps.  Either backend (gate circuit or
-the matrix-free oracle kernel) may drive the evolution; for a circuit on
-embedded registers the probability found on invalid vertex states is
-monitored and the run aborts if it ever exceeds the leakage tolerance.
+the matrix-free oracle kernel) drives the same loop: the state viewed as a
+(d, d) array (``oracle`` explains the layout) gives the marginal as its
+column sums, and any probability on register-2 states j >= N is leakage
+out of the valid vertices, which aborts the run once it exceeds the
+tolerance.  Oracle states have d = N and so never leak.
 """
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .gates import Circuit
-from .oracle import WalkOracle, initial_superposition
-from .simulator import apply, marginal_register2
+from .oracle import WalkOracle, initial_superposition, register_qubits
+from .simulator import apply
 
 CSV_VERSION_HEADER = "# szwalk csv v1"
 LEAKAGE_TOL = 1e-8
@@ -36,46 +40,51 @@ class PagerankSeries:
     average: np.ndarray
 
 
+def prepare(walk, p: np.ndarray):
+    """Initial state of ``walk`` for chain ``p`` and its single-step function.
+
+    ``walk`` is either a gate Circuit on 2*ceil(log2 N) qubits, whose state
+    lies on both registers, or a WalkOracle for the same chain, whose state
+    has native length N^2.
+    """
+    n_states = np.asarray(p).shape[0]
+    if isinstance(walk, WalkOracle):
+        if walk.n_states != n_states:
+            raise ValueError(f"oracle is for N={walk.n_states}, matrix has N={n_states}")
+        return initial_superposition(p), walk.apply
+    if isinstance(walk, Circuit):
+        n = register_qubits(n_states)
+        if walk.width != 2 * n:
+            raise ValueError(f"circuit width {walk.width} does not match "
+                             f"2*ceil(log2({n_states})) = {2 * n}")
+        return initial_superposition(p, n), partial(apply, walk)
+    raise TypeError(f"walk must be a Circuit or WalkOracle, got {type(walk).__name__}")
+
+
 def run(walk, p: np.ndarray, steps: int = 1000,
         leakage_tol: float = LEAKAGE_TOL) -> PagerankSeries:
     """Evolve by the squared walk operator and record vertex marginals.
 
-    ``walk`` is either a gate Circuit on 2*ceil(log2 N) qubits or a
-    WalkOracle for the same chain.  Q(j, 0) is recorded before any
-    evolution; each subsequent row follows one double application.
+    ``walk`` is a Circuit or WalkOracle as in ``prepare``.  Q(j, 0) is
+    recorded before any evolution; each subsequent row follows one double
+    application.
     """
     p = np.asarray(p, dtype=float)
     n_states = p.shape[0]
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    state, step = prepare(walk, p)
+    dim = math.isqrt(state.size)
     inst = np.empty((steps, n_states))
-
-    if isinstance(walk, WalkOracle):
-        if walk.n_states != n_states:
-            raise ValueError(f"oracle is for N={walk.n_states}, matrix has N={n_states}")
-        state = initial_superposition(p)
-        for t in range(steps):
-            inst[t] = (np.abs(state.reshape(n_states, n_states)) ** 2).sum(axis=0)
-            if t + 1 < steps:
-                state = walk.apply(walk.apply(state))
-    elif isinstance(walk, Circuit):
-        n = max((n_states - 1).bit_length(), 1)
-        if walk.width != 2 * n:
-            raise ValueError(f"circuit width {walk.width} does not match "
-                             f"2*ceil(log2({n_states})) = {2 * n}")
-        state = initial_superposition(p, n_qubits=n).astype(complex)
-        for t in range(steps):
-            probs = marginal_register2(state, n)
-            stray = float(probs[n_states:].sum())
-            if stray > leakage_tol:
-                raise LeakageError(f"probability {stray:.3e} on invalid vertices "
-                                   f"at step {t} (tolerance {leakage_tol:.1e})")
-            inst[t] = probs[:n_states]
-            if t + 1 < steps:
-                state = apply(walk, apply(walk, state))
-    else:
-        raise TypeError(f"walk must be a Circuit or WalkOracle, got {type(walk).__name__}")
-
+    for t in range(steps):
+        probs = (np.abs(state.reshape(dim, dim)) ** 2).sum(axis=0)
+        stray = float(probs[n_states:].sum())
+        if stray > leakage_tol:
+            raise LeakageError(f"probability {stray:.3e} on invalid vertices "
+                               f"at step {t} (tolerance {leakage_tol:.1e})")
+        inst[t] = probs[:n_states]
+        if t + 1 < steps:
+            state = step(step(state))
     return PagerankSeries(n_vertices=n_states, steps=steps, instantaneous=inst,
                           average=inst.mean(axis=0))
 

@@ -4,7 +4,9 @@ States are complex vectors of length ``2**width`` indexed with qubit 0 as
 the most significant bit.  ``apply`` is purely functional (the caller's
 vector is never mutated); internally gates update amplitude slices in
 place.  ``unitary_of`` runs the same kernel on an identity matrix treated
-as a batch of basis-state columns.
+as a batch of basis-state columns.  A walk state on two n-qubit registers
+is this vector viewed as a (2**n, 2**n) array (see ``oracle``), so
+register marginals are sums over one axis of that view.
 """
 
 import math
@@ -95,18 +97,3 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     dim = 2 ** circuit.width
     return _run(circuit, np.eye(dim, dtype=complex))
 
-
-def marginal_register2(state: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Probability of each register-2 basis state: p(j) = sum_i |a(i,j)|^2."""
-    state = np.asarray(state)
-    width = int(round(math.log2(state.size)))
-    if 2 ** width != state.size:
-        raise ValueError("state length is not a power of two")
-    if n is None:
-        if width % 2:
-            raise ValueError("odd width; pass the register size n explicitly")
-        n = width // 2
-    if n > width:
-        raise ValueError(f"register size {n} exceeds width {width}")
-    probs = np.abs(state) ** 2
-    return probs.reshape(2 ** (width - n), 2 ** n).sum(axis=0)

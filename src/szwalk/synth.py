@@ -25,7 +25,7 @@ import numpy as np
 from .gates import (Circuit, compose, dagger, gphase, h, on_qubits, ry, swap,
                     with_controls, x, z, zp)
 from .markov import NoSynthesis, directed_example8, google_matrix, validate, wheel_graph
-from .oracle import column_state, embed, valid_indices, walk_operator
+from .oracle import column_state, register_qubits, walk_operator
 from .simulator import apply, basis_state, unitary_of
 
 STATE_PREP_NORM_TOL = 1e-10
@@ -214,15 +214,10 @@ def single_reference_parts(n: int, t_transform: Circuit, kb: Circuit,
 
 
 def synth_from_parts(parts: SingleReference) -> Circuit:
-    """Assemble U -> D -> U^dag -> S from single-reference parts."""
+    """Assemble U -> D -> U^dag -> S from single-reference parts: one
+    unconditional segment whose transform is the whole diagonalizer."""
     n = parts.n_qubits
-    reg2 = list(range(n, 2 * n))
-    gates = list(parts.diagonalizer.gates)
-    gates.append(_pattern_flip(reg2, parts.basis_b))
-    gates.extend(dagger(parts.diagonalizer).gates)
-    gates.append(gphase(-1))
-    gates.extend(swap(q, q + n) for q in range(n))
-    return Circuit(2 * n, gates)
+    return _assemble(n, [_Segment(((),), parts.diagonalizer, Circuit(n), parts.basis_b)])
 
 
 def synth_single_reference(n: int, t_transform: Circuit, kb: Circuit,
@@ -240,7 +235,7 @@ def circulant_parts(phi0: np.ndarray, offset_x: int = 1,
     from the reference column with b = 0.
     """
     phi0 = np.asarray(phi0, dtype=float)
-    n = max(int(phi0.size - 1).bit_length(), 1)
+    n = register_qubits(phi0.size)
     if phi0.size != 2 ** n:
         raise NoSynthesis(f"no gate synthesis: column length must be a power of two, "
                           f"got {phi0.size}")
@@ -417,7 +412,7 @@ def synth_partitioned(p: np.ndarray, partition: Partition, transforms,
                          f"{report.max_column_deviation:.3e}, min entry {report.min_entry:.3e}")
     if partition.n_states != n_states:
         raise ValueError(f"partition covers {partition.n_states} states, matrix has {n_states}")
-    n = max((n_states - 1).bit_length(), 1)
+    n = register_qubits(n_states)
     dim = 2 ** n
 
     def embedded_column(i):
@@ -593,23 +588,26 @@ class VerifyReport:
 
 
 def verify(circuit: Circuit, p: np.ndarray, tolerance: float = 1e-10) -> VerifyReport:
-    """Compare a walk circuit against the embedded dense oracle.
+    """Compare a walk circuit against the dense oracle on the valid subspace.
 
-    The comparison runs over valid columns only: ``max_deviation`` is the
-    largest entrywise difference on the valid block, ``leakage`` the
-    largest amplitude a valid column acquires outside the valid subspace.
+    The unitary is viewed as (d, d, d, d) over output (i, j) and input
+    (k, l) register values, d = 2^n; its valid columns are ``[..., :N, :N]``.
+    ``max_deviation`` is the largest entrywise difference on the valid
+    block, ``leakage`` the largest amplitude a valid column acquires on an
+    output state with i >= N or j >= N.
     """
     p = np.asarray(p, dtype=float)
     n_states = p.shape[0]
-    n = max((n_states - 1).bit_length(), 1)
+    n = register_qubits(n_states)
     if circuit.width != 2 * n:
         raise ValueError(f"circuit width {circuit.width} does not match "
                          f"2*ceil(log2({n_states})) = {2 * n}")
-    u = unitary_of(circuit)
-    target = embed(walk_operator(p), n)
-    valid = valid_indices(n_states, n)
-    rest = np.setdiff1d(np.arange(4 ** n), valid)
-    dev = float(np.abs(u[np.ix_(valid, valid)] - target[np.ix_(valid, valid)]).max())
-    leak = float(np.abs(u[np.ix_(rest, valid)]).max()) if rest.size else 0.0
+    d = 2 ** n
+    u = unitary_of(circuit).reshape(d, d, d, d)[..., :n_states, :n_states]
+    leak = float(max(np.abs(u[n_states:]).max(initial=0.0),
+                     np.abs(u[:n_states, n_states:]).max(initial=0.0)))
+    block = u[:n_states, :n_states]
+    block -= walk_operator(p).matrix.reshape((n_states,) * 4)
+    dev = float(np.abs(block).max())
     return VerifyReport(max_deviation=dev, leakage=leak, tolerance=tolerance,
                         passed=dev <= tolerance and leak <= tolerance)

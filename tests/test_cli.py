@@ -47,6 +47,24 @@ class TestVerifyCommand:
         assert code == 2 and "graph" in err
 
 
+class TestSpecFile:
+    @pytest.mark.parametrize("spec", [[1, 2], "cycle", {"type": "cycle", "params": [8]}],
+                             ids=["list", "string", "params-list"])
+    def test_spec_that_is_not_an_object_exits_two(self, capsys, tmp_path, spec):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "synth", "--spec", str(path))
+        assert code == 2 and out == "" and "must be a JSON object" in err
+
+    def test_param_the_type_does_not_take_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "graph.json").write_text(json.dumps(
+            {"type": "cycle", "params": {"n": 8, "alpha": 0.5, "bogus": 1}}))
+        code, _, err = run_cli(capsys, "pagerank", "--spec", "graph.json", "--steps", "2")
+        assert code == 2 and "takes no 'alpha', 'bogus'" in err
+        assert [f.name for f in tmp_path.iterdir()] == ["graph.json"]
+
+
 class TestSynthCommand:
     def test_k2_text_round_trips_to_oracle_equal_circuit(self, capsys):
         code, out, _ = run_cli(capsys, "synth", "--graph", "k2")

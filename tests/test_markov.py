@@ -326,6 +326,16 @@ class TestFromSpec:
         with pytest.raises(ValueError):
             markov.from_spec({"type": "torus", "params": {}})
 
+    def test_type_that_is_not_a_string(self):
+        with pytest.raises(ValueError, match="unknown graph spec type"):
+            markov.from_spec({"type": ["cycle"], "params": {"n": 8}})
+
     def test_missing_param_names_it(self):
         with pytest.raises(ValueError, match="'n2'"):
             markov.from_spec({"type": "win", "params": {"n1": 8}})
+
+    def test_unknown_params_are_named(self):
+        with pytest.raises(ValueError, match="cycle spec takes no 'alpha', 'bogus'"):
+            markov.from_spec({"type": "cycle", "params": {"n": 8, "alpha": 0.5, "bogus": 1}})
+        with pytest.raises(ValueError, match="cycle spec takes no 'matrix'"):
+            markov.from_spec({"type": "cycle", "params": {"n": 4}, "matrix": [[1.0]]})

@@ -95,8 +95,6 @@ class TestWalkOperator:
         big = oracle.walk_operator(np.eye(65))
         with pytest.raises(ValueError):
             big.matrix
-        with pytest.raises(ValueError):
-            oracle.embed(big, 7)
 
     def test_rejects_invalid_matrix(self):
         with pytest.raises(ValueError):
@@ -116,30 +114,6 @@ class TestKernel:
             assert np.abs(walk.apply(state) - u @ state).max() < 1e-12
         real = rng.normal(size=n * n)
         assert np.abs(walk.apply(real) - u @ real).max() < 1e-12
-
-
-class TestEmbed:
-    def test_power_of_two_unchanged(self):
-        w = oracle.walk_operator(markov.cycle_graph(4))
-        np.testing.assert_array_equal(oracle.embed(w, 2), w.matrix)
-
-    def test_identity_on_invalid_states(self):
-        p = np.full((3, 3), 1 / 3.0)
-        big = oracle.embed(oracle.walk_operator(p), 2)
-        for i in range(4):
-            for j in range(4):
-                if i == 3 or j == 3:
-                    idx = i * 4 + j
-                    np.testing.assert_array_equal(big[:, idx], np.eye(16)[:, idx])
-
-    def test_embedded_unitary(self):
-        g = markov.google_matrix(markov.wheel_graph(8), 0.85)
-        big = oracle.embed(oracle.walk_operator(g), 4)
-        np.testing.assert_allclose(big.T @ big, np.eye(256), atol=1e-12)
-
-    def test_register_too_small(self):
-        with pytest.raises(ValueError):
-            oracle.embed(oracle.walk_operator(markov.cycle_graph(8)), 2)
 
 
 class TestInitialSuperposition:

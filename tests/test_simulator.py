@@ -5,7 +5,7 @@ import pytest
 
 from szwalk import gates
 from szwalk.gates import Circuit, compose
-from szwalk.simulator import apply, basis_state, marginal_register2, unitary_of
+from szwalk.simulator import apply, basis_state, unitary_of
 from helpers import random_circuit
 
 
@@ -62,28 +62,6 @@ class TestUnitaryOf:
     def test_width_guard(self):
         with pytest.raises(ValueError):
             unitary_of(Circuit(13))
-
-
-class TestMarginalRegister2:
-    def test_product_state(self):
-        s = np.kron(basis_state(1, 0), basis_state(1, 1))
-        np.testing.assert_allclose(marginal_register2(s), [0, 1], atol=1e-15)
-
-    def test_uniform_two_qubits(self):
-        s = np.full(4, 0.5)
-        np.testing.assert_allclose(marginal_register2(s), [0.5, 0.5], atol=1e-15)
-
-    def test_sums_to_one_for_random_state(self):
-        rng = np.random.default_rng(23)
-        s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        s /= np.linalg.norm(s)
-        assert marginal_register2(s).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_odd_width_needs_explicit_n(self):
-        with pytest.raises(ValueError):
-            marginal_register2(np.zeros(8))
-        np.testing.assert_allclose(marginal_register2(basis_state(3, 5), 2),
-                                   [0, 1, 0, 0], atol=1e-15)
 
 
 class TestInvariants:

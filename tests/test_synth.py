@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from szwalk import markov, oracle
-from szwalk.gates import Circuit, Gate, compose, dagger, gate_count
+from szwalk.gates import Circuit, Gate, compose, dagger, gate_count, x
 from szwalk.simulator import apply, basis_state, unitary_of
 from szwalk.synth import (Partition, SingleReference, circulant_parts,
                           complete_parts, controlled_shift_transform,
@@ -412,6 +412,12 @@ class TestVerify:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             verify(synth_k2(), markov.cycle_graph(8))
+
+    @pytest.mark.parametrize("qubit", [0, 2], ids=["register-1", "register-2"])
+    def test_leakage_through_either_register(self, qubit):
+        # X on a register's high bit maps vertex 1 onto the invalid vertex 3
+        report = verify(Circuit(4, [x(qubit)]), np.full((3, 3), 1 / 3))
+        assert report.leakage == 1.0 and report.passed is False
 
     def test_report_dict_shape(self):
         d = verify(synth_k2(), markov.complete_graph(2)).as_dict()
