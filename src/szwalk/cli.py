@@ -93,6 +93,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {args.steps}")
     _, p, synthesize = build_walk(_spec_from_args(args))
     state, step = pagerank.prepare(_circuit_or_oracle(p, synthesize), p)
     state = state.astype(complex)

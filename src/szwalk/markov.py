@@ -182,6 +182,13 @@ class ValidationReport:
     min_entry: float
     ok: bool
 
+    def raise_if_invalid(self) -> None:
+        """Raise ValueError naming the column deviation and minimum entry
+        unless the matrix passed."""
+        if not self.ok:
+            raise ValueError(f"invalid transition matrix: column deviation "
+                             f"{self.max_column_deviation:.3e}, min entry {self.min_entry:.3e}")
+
 
 def validate(p: np.ndarray, tol: float = COLUMN_SUM_TOL) -> ValidationReport:
     """Check nonnegativity and column sums; passes iff both hold at ``tol``."""
@@ -212,11 +219,7 @@ def _log2_exact(n, what: str) -> int:
 
 def _custom(columns) -> np.ndarray:
     p = np.asarray(columns, dtype=float).T
-    report = validate(p)
-    if not report.ok:
-        raise ValueError(f"custom matrix fails validation: "
-                         f"max column deviation {report.max_column_deviation:.3e}, "
-                         f"min entry {report.min_entry:.3e}")
+    validate(p).raise_if_invalid()
     return p
 
 

@@ -92,16 +92,23 @@ def _reflection(columns: np.ndarray) -> np.ndarray:
 def walk_operator(p: np.ndarray) -> WalkOracle:
     """Single-step Szegedy walk operator S (2 Pi - I) of a validated chain."""
     p = np.asarray(p, dtype=float)
-    report = validate(p)
-    if not report.ok:
-        raise ValueError(f"invalid transition matrix: column deviation "
-                         f"{report.max_column_deviation:.3e}, min entry {report.min_entry:.3e}")
+    validate(p).raise_if_invalid()
     return WalkOracle(n_states=p.shape[0], columns=np.ascontiguousarray(np.sqrt(p).T))
 
 
 def register_qubits(n_states: int) -> int:
     """Qubits per register for an N-state chain: ceil(log2 N), at least 1."""
     return max((n_states - 1).bit_length(), 1)
+
+
+def circuit_registers(width: int, n_states: int) -> int:
+    """Qubits per register of a walk circuit ``width`` qubits wide for an
+    N-state chain; ValueError unless width is 2 * register_qubits(N)."""
+    n = register_qubits(n_states)
+    if width != 2 * n:
+        raise ValueError(f"circuit width {width} does not match "
+                         f"2*ceil(log2({n_states})) = {2 * n}")
+    return n
 
 
 def initial_superposition(p: np.ndarray, n_qubits: int | None = None) -> np.ndarray:

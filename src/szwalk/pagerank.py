@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .gates import Circuit
-from .oracle import WalkOracle, initial_superposition, register_qubits
+from .oracle import WalkOracle, circuit_registers, initial_superposition
 from .simulator import apply
 
 CSV_VERSION_HEADER = "# szwalk csv v1"
@@ -53,10 +53,7 @@ def prepare(walk, p: np.ndarray):
             raise ValueError(f"oracle is for N={walk.n_states}, matrix has N={n_states}")
         return initial_superposition(p), walk.apply
     if isinstance(walk, Circuit):
-        n = register_qubits(n_states)
-        if walk.width != 2 * n:
-            raise ValueError(f"circuit width {walk.width} does not match "
-                             f"2*ceil(log2({n_states})) = {2 * n}")
+        n = circuit_registers(walk.width, n_states)
         return initial_superposition(p, n), partial(apply, walk)
     raise TypeError(f"walk must be a Circuit or WalkOracle, got {type(walk).__name__}")
 

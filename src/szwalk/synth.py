@@ -2,10 +2,16 @@
 
 Every synthesizer targets the same decomposition: the walk operator splits
 into a register swap and a reflection, and the reflection is diagonalized
-per column subset by (a) transforms mapping each column state onto the
-subset's reference state and (b) a preparation routine mapping a
-computational basis state onto that reference.  The diagonalized core is a
-multi-controlled phase flip.
+per column subset by (a) a transform T_x mapping each column state of
+subset x onto the subset's reference state and (b) a preparation routine
+mapping a computational basis state onto that reference.  The diagonalized
+core is a multi-controlled phase flip.
+
+Single-reference chains (cycle, complete, circulant, tensor products) have
+one subset and are assembled by ``synth_from_parts``.  The partitioned
+families (bipartite, WIN, wheel, directed-8) are each a ``Partition``, one
+T_x per subset and one preparation per subset, assembled by
+``synth_partitioned``, which checks both numerically first.
 
 Sign convention used throughout: the multi-controlled flips realize
 ``I - 2|b><b|`` on their patterns, so a single ``GPHASE(-1)`` is appended
@@ -24,8 +30,9 @@ import numpy as np
 
 from .gates import (Circuit, compose, dagger, gphase, h, on_qubits, ry, swap,
                     with_controls, x, z, zp)
-from .markov import NoSynthesis, directed_example8, google_matrix, validate, wheel_graph
-from .oracle import column_state, register_qubits, walk_operator
+from .markov import (NoSynthesis, complete_bipartite, directed_example8, google_matrix,
+                     validate, wheel_graph, win_cycles)
+from .oracle import circuit_registers, column_state, register_qubits, walk_operator
 from .simulator import apply, basis_state, unitary_of
 
 STATE_PREP_NORM_TOL = 1e-10
@@ -226,26 +233,16 @@ def synth_single_reference(n: int, t_transform: Circuit, kb: Circuit,
     return synth_from_parts(single_reference_parts(n, t_transform, kb, basis_b))
 
 
-def circulant_parts(phi0: np.ndarray, offset_x: int = 1,
-                    kb: Circuit | None = None,
-                    basis_b: int | None = None) -> SingleReference:
-    """Parts for a chain whose column i is column 0 right-rotated i*x slots.
-
-    Without an explicit preparation routine, K_b is built by state_prep
-    from the reference column with b = 0.
-    """
+def circulant_parts(phi0: np.ndarray, offset_x: int = 1) -> SingleReference:
+    """Parts for a chain whose column i is column 0 right-rotated i*x slots;
+    K_b is built by state_prep from the reference column with b = 0."""
     phi0 = np.asarray(phi0, dtype=float)
     n = register_qubits(phi0.size)
     if phi0.size != 2 ** n:
         raise NoSynthesis(f"no gate synthesis: column length must be a power of two, "
                           f"got {phi0.size}")
-    if kb is None:
-        basis_b = 0
-        kb = state_prep(phi0, basis_b)
-    elif basis_b is None:
-        raise ValueError("basis_b must accompany an explicit preparation routine")
     return single_reference_parts(n, controlled_shift_transform(n, offset_x, "left"),
-                                  kb, basis_b)
+                                  state_prep(phi0, 0), 0)
 
 
 def cycle_parts(n: int) -> SingleReference:
@@ -258,10 +255,8 @@ def complete_parts(n: int) -> SingleReference:
     return single_reference_parts(n, controlled_shift_transform(n, 1, "left"), kb, b)
 
 
-def synth_circulant(phi0: np.ndarray, offset_x: int = 1,
-                    kb: Circuit | None = None,
-                    basis_b: int | None = None) -> Circuit:
-    return synth_from_parts(circulant_parts(phi0, offset_x, kb, basis_b))
+def synth_circulant(phi0: np.ndarray, offset_x: int = 1) -> Circuit:
+    return synth_from_parts(circulant_parts(phi0, offset_x))
 
 
 def synth_cycle(n: int) -> Circuit:
@@ -395,62 +390,76 @@ def _assemble(n: int, segments) -> Circuit:
 
 def synth_partitioned(p: np.ndarray, partition: Partition, transforms,
                       preps, check_tol: float = PARTITION_CHECK_TOL) -> Circuit:
-    """General multi-reference synthesis.
+    """General multi-reference synthesis: the walk circuit of every
+    partitioned family.
 
-    ``transforms`` maps ``(x, y)`` (subset index, member vertex) to a
-    width-n circuit realizing T_{x,y} on register 2; missing entries mean
-    identity.  ``preps`` lists one width-n preparation circuit per subset.
-    Both families are checked numerically against the column states before
-    assembly: T_{x,y}|phi_y> must equal |phi_r_x> and K|b_x> must equal
-    |phi_r_x>, each within ``check_tol``.
+    ``transforms`` maps a subset index x to one circuit T_x on both
+    registers (2n qubits) with T_x |y>|phi_y> = |y>|phi_r> for every member
+    y of subset x, r its reference; a missing entry means identity.  T_x's
+    gates must target register 2, while their controls may sit on either
+    register.  ``preps`` lists one width-n preparation K per subset with
+    K|b_x> = |phi_r>.  Both are checked numerically within ``check_tol``
+    before assembly.  Since T_x cannot move amplitude between register-1
+    rows, one ``apply`` to the state holding |y>|phi_y> in every member row
+    checks the whole subset.  Subset x becomes the segment T_x, then K^dag,
+    the flip of |b_x> and K under the subset's register-1 patterns
+    (``subset_patterns``), then T_x^dag.
     """
     p = np.asarray(p, dtype=float)
+    validate(p).raise_if_invalid()
     n_states = p.shape[0]
-    report = validate(p)
-    if not report.ok:
-        raise ValueError(f"invalid transition matrix: column deviation "
-                         f"{report.max_column_deviation:.3e}, min entry {report.min_entry:.3e}")
     if partition.n_states != n_states:
         raise ValueError(f"partition covers {partition.n_states} states, matrix has {n_states}")
     n = register_qubits(n_states)
     dim = 2 ** n
-
-    def embedded_column(i):
-        col = np.zeros(dim)
-        col[:n_states] = column_state(p, i)
-        return col
+    phi = np.zeros((n_states, dim))
+    phi[:, :n_states] = np.sqrt(p).T    # row y holds |phi_y>
 
     segments = []
     for xi, (sub, ref, b) in enumerate(zip(partition.subsets, partition.references,
                                            partition.basis)):
         if not 0 <= b < dim:
             raise ValueError(f"basis state {b} out of range for {n} qubit(s)")
-        phi_ref = embedded_column(ref)
-        gates = []
-        for y in sub:
-            t_xy = transforms.get((xi, y))
-            moved = embedded_column(y) if t_xy is None else apply(t_xy, embedded_column(y))
-            err = np.abs(moved - phi_ref).max()
-            if err > check_tol:
-                raise ValueError(f"transform check failed for (x={xi}, y={y}): "
-                                 f"deviation {err:.3e}")
-            if t_xy is not None and t_xy.gates:
-                member_pattern = tuple((q, (y >> (n - 1 - q)) & 1) for q in range(n))
-                lifted = with_controls(on_qubits(t_xy, list(range(n, 2 * n)), 2 * n),
-                                       member_pattern)
-                gates.extend(lifted.gates)
+        t_x = transforms.get(xi, Circuit(2 * n))
+        if any(q < n for g in t_x.gates for q in g.qubits):
+            raise ValueError(f"transform for subset {xi} has a gate targeting register 1")
+        members = list(sub)
+        state = np.zeros((dim, dim))
+        state[members] = phi[members]
+        moved = apply(t_x, state.reshape(dim * dim)).reshape(dim, dim)[members]
+        errs = np.abs(moved - phi[ref]).max(axis=1)
+        worst = int(np.argmax(errs))
+        if errs[worst] > check_tol:
+            raise ValueError(f"transform check failed for (x={xi}, y={sub[worst]}): "
+                             f"deviation {errs[worst]:.3e}")
         prep = preps[xi]
-        prepared = apply(prep, basis_state(n, b))
-        err = np.abs(prepared - phi_ref).max()
+        err = np.abs(apply(prep, basis_state(n, b)) - phi[ref]).max()
         if err > check_tol:
             raise ValueError(f"preparation check failed for subset {xi}: deviation {err:.3e}")
-        segments.append(_Segment(tuple(subset_patterns(sub, n)), Circuit(2 * n, gates),
-                                 prep, b))
+        segments.append(_Segment(tuple(subset_patterns(sub, n)), t_x, prep, b))
     return _assemble(n, segments)
 
 
 # ---------------------------------------------------------------------------
 # Specific partitioned families
+
+def _two_blocks(size1: int, size2: int, basis=(0, 0)) -> Partition:
+    """Vertices 0..size1-1 and the next size2, each referenced by its first."""
+    return Partition(subsets=[range(size1), range(size1, size1 + size2)],
+                     references=[0, size1], basis=basis)
+
+
+def _block_shift(subset, n: int) -> Circuit:
+    """T_x for a subset that is one bit-pattern block whose column y is the
+    reference column rotated by y within the block: register 2's free bits
+    are shifted down by register 1's, under the block pattern on both
+    registers."""
+    (pattern,) = subset_patterns(subset, n)
+    fixed = [q for q, _ in pattern]
+    free = [q for q in range(n) if q not in fixed]
+    return _bit_shifts(free, n + free[0], 2 * n, before=pattern,
+                       after=tuple((n + q, v) for q, v in pattern))
+
 
 def synth_bipartite(n1: int, n2: int) -> Circuit:
     """Walk circuit for the complete bipartite graph K_{2^n1, 2^n2}.
@@ -460,17 +469,12 @@ def synth_bipartite(n1: int, n2: int) -> Circuit:
     """
     if n1 < n2 or n2 < 0:
         raise NoSynthesis(f"no gate synthesis: need n1 >= n2 >= 0, got {n1}, {n2}")
-    big_n1 = 2 ** n1
+    big_n1, big_n2 = 2 ** n1, 2 ** n2
     n = n1 + 1
-    pat1 = ((0, 0),)
-    pat2 = ((0, 1),) + tuple((1 + k, 0) for k in range(n1 - n2))
     kb1 = Circuit(n, [h(q) for q in range(n - n2, n)])
     kb2 = Circuit(n, [h(q) for q in range(1, n)])
-    empty = Circuit(2 * n)
-    return _assemble(n, [
-        _Segment((pat1,), empty, kb1, big_n1),
-        _Segment((pat2,), empty, kb2, 0),
-    ])
+    return synth_partitioned(complete_bipartite(big_n1, big_n2),
+                             _two_blocks(big_n1, big_n2, basis=(big_n1, 0)), {}, [kb1, kb2])
 
 
 def _cycle_pair_gates(qubits, controls):
@@ -494,10 +498,7 @@ def synth_win_cycles(n1: int, n2: int) -> Circuit:
         raise ValueError(f"need n1 >= n2 >= 2, got {n1}, {n2}")
     big_n1, big_n2 = 2 ** n1, 2 ** n2
     n = n1 + 1
-    w = 2 * n
-    pat1 = ((0, 0),)
-    pat2 = ((0, 1),) + tuple((1 + k, 0) for k in range(n1 - n2))
-    block2 = ((n, 1),) + tuple((n + 1 + k, 0) for k in range(n1 - n2))
+    partition = _two_blocks(big_n1, big_n2)
 
     theta1 = math.acos(math.sqrt(2.0 / (2.0 + big_n2)))
     kb1_gates = [ry(0, theta1)]
@@ -509,12 +510,9 @@ def synth_win_cycles(n1: int, n2: int) -> Circuit:
     kb2_gates += [h(q, [(0, 0)]) for q in range(1, n)]
     kb2_gates += _cycle_pair_gates(list(range(n - n2, n)), [(0, 1)])
 
-    return _assemble(n, [
-        _Segment((pat1,), _bit_shifts(range(1, n), n + 1, w, before=((0, 0),), after=((n, 0),)),
-                 Circuit(n, kb1_gates), 0),
-        _Segment((pat2,), _bit_shifts(range(n - n2, n), 2 * n - n2, w, before=pat2, after=block2),
-                 Circuit(n, kb2_gates), 0),
-    ])
+    return synth_partitioned(win_cycles(big_n1, big_n2), partition,
+                             {xi: _block_shift(sub, n) for xi, sub in enumerate(partition.subsets)},
+                             [Circuit(n, kb1_gates), Circuit(n, kb2_gates)])
 
 
 def synth_wheel(m: int, directed: bool = False, alpha: float = 0.85) -> Circuit:
@@ -530,45 +528,31 @@ def synth_wheel(m: int, directed: bool = False, alpha: float = 0.85) -> Circuit:
     big_n = 2 ** m
     g = google_matrix(wheel_graph(big_n, directed), alpha)
     n = m + 1
-    w = 2 * n
-    dim = 2 ** n
+    partition = _two_blocks(big_n, 1)
 
-    phi0 = np.zeros(dim)
+    phi0 = np.zeros(2 ** n)
     phi0[:big_n + 1] = column_state(g, 0)
-    kb1 = state_prep(phi0, 0)
-
     theta = math.acos(math.sqrt(1.0 - g[big_n, big_n]))
-    kb2 = Circuit(n, [ry(0, theta)] + [h(q, [(0, 0)]) for q in range(1, n)])
-
-    pat1 = ((0, 0),)
-    pat2 = ((0, 1),) + tuple((q, 0) for q in range(1, n))
-    return _assemble(n, [
-        _Segment((pat1,), _bit_shifts(range(1, n), n + 1, w, before=((0, 0),), after=((n, 0),)),
-                 kb1, 0),
-        _Segment((pat2,), Circuit(w), kb2, 0),
-    ])
+    kb_hub = Circuit(n, [ry(0, theta)] + [h(q, [(0, 0)]) for q in range(1, n)])
+    return synth_partitioned(g, partition, {0: _block_shift(partition.subsets[0], n)},
+                             [state_prep(phi0, 0), kb_hub])
 
 
 def synth_directed8(alpha: float = 0.85) -> Circuit:
     """Walk circuit for the Google matrix of the 8-vertex directed example.
 
     Three subsets: the 4-cycle (restricted shifts modulo 4), the pair
-    {4, 5} (one full shift by 2), and {6, 7} whose columns already agree.
+    {4, 5} (vertex 5 shifted by 2), and {6, 7} whose columns already agree.
     """
     g = google_matrix(directed_example8(), alpha)
     n = 3
-    w = 2 * n
-
-    t1 = _bit_shifts((1, 2), n + 1, w, before=((0, 0),), after=((n, 0),))
-    t2_gates = shift_circuit(n, 2, "left", controls=[(0, 1), (1, 0), (2, 1)],
-                             width=w, offset=n).gates
-
-    segments = [
-        _Segment((((0, 0),),), t1, state_prep(column_state(g, 0), 0), 0),
-        _Segment((((0, 1), (1, 0)),), Circuit(w, t2_gates), state_prep(column_state(g, 4), 0), 0),
-        _Segment((((0, 1), (1, 1)),), Circuit(w), state_prep(column_state(g, 6), 0), 0),
-    ]
-    return _assemble(n, segments)
+    partition = Partition(subsets=[range(4), [4, 5], [6, 7]], references=[0, 4, 6],
+                          basis=[0, 0, 0])
+    (member5,) = subset_patterns([5], n)
+    transforms = {0: _block_shift(partition.subsets[0], n),
+                  1: shift_circuit(n, 2, "left", controls=member5, width=2 * n, offset=n)}
+    return synth_partitioned(g, partition, transforms,
+                             [state_prep(column_state(g, r), 0) for r in partition.references])
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +582,7 @@ def verify(circuit: Circuit, p: np.ndarray, tolerance: float = 1e-10) -> VerifyR
     """
     p = np.asarray(p, dtype=float)
     n_states = p.shape[0]
-    n = register_qubits(n_states)
-    if circuit.width != 2 * n:
-        raise ValueError(f"circuit width {circuit.width} does not match "
-                         f"2*ceil(log2({n_states})) = {2 * n}")
-    d = 2 ** n
+    d = 2 ** circuit_registers(circuit.width, n_states)
     u = unitary_of(circuit).reshape(d, d, d, d)[..., :n_states, :n_states]
     leak = float(max(np.abs(u[n_states:]).max(initial=0.0),
                      np.abs(u[:n_states, n_states:]).max(initial=0.0)))

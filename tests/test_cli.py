@@ -184,6 +184,20 @@ class TestSimulateCommand:
                                    u @ u @ oracle.initial_superposition(p), atol=1e-12)
 
 
+    def test_negative_steps_exit_two(self, capsys, tmp_path):
+        out = tmp_path / "state.csv"
+        code, _, err = run_cli(capsys, "simulate", "--graph", "k2", "--steps", "-3",
+                               "--out", str(out))
+        assert code == 2 and "steps" in err and not out.exists()
+
+    def test_zero_steps_print_the_initial_state(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--graph", "k2", "--steps", "0")
+        assert code == 0
+        values = [float(ln.split(",")[1]) for ln in out.splitlines()[2:]]
+        np.testing.assert_allclose(values, oracle.initial_superposition(
+            markov.complete_graph(2), 1), atol=1e-12)
+
+
 class TestGatecountCommand:
     def test_table_shape(self, capsys):
         code, out, _ = run_cli(capsys, "gatecount", "--graph", "both", "--n-max", "5")

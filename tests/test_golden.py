@@ -37,6 +37,25 @@ SYNTH_SPECS = {
                   "f19e6289aadfc62c0525573f3e20d5141d866d0c8b7b8d84d858d8829f1c0cb2"),
 }
 
+# Larger sizes of the partitioned families, where the register-1 control
+# patterns have more than one fixed bit (win 32/4 fixes three).
+LARGER_SYNTH_SPECS = [
+    ("win", {"n1": 16, "n2": 4},
+     "20b73750f961693166d02060655add2b9a6322fe85c0337c9c9c1b58d1871baa"),
+    ("win", {"n1": 32, "n2": 4},
+     "446b86c8336ff2b15c294c38d528a22a690a0892efbe5f38983accbd1a935208"),
+    ("bipartite", {"n1": 16, "n2": 2},
+     "fe10619ec3950ce91bcf2b74cfeba33770d7d346ff084cfd2b9b5b7391632a56"),
+    ("bipartite", {"n1": 8, "n2": 1},
+     "22270a3aa730f2fa9bce5d55231021aff535628bf6159dab35c24735fe53080e"),
+    ("wheel", {"n": 32},
+     "8d634cfd5abdef0454f0f0a3e241760439529422e33985bcf6bca43c4de4aec9"),
+    ("wheel_directed", {"n": 16, "alpha": 0.7},
+     "fc94963fdc29ed9b3e61507b5f68a3769bb23c13327d826c30b10f7e13d3bf5a"),
+    ("directed8", {"alpha": 0.0},
+     "fbc0b277f3ff602db21846577f9df86cd65eb3ff55e78beccb3326049ab044fc"),
+]
+
 CLI_OUTPUTS = [
     (["gatecount", "--n-max", "6"],
      "e8a42865ff6fb754ef142bfb2ed00d6db90e82a17e67aa3b3707b7c6918e7742"),
@@ -64,6 +83,14 @@ def test_every_synthesizable_type_is_pinned():
 @pytest.mark.parametrize("kind", SYNTH_SPECS)
 def test_synth_text(kind):
     params, digest = SYNTH_SPECS[kind]
+    _, _, synthesize = cli.build_walk({"type": kind, "params": params})
+    assert sha256(to_text(synthesize()).encode()) == digest
+
+
+@pytest.mark.parametrize("kind, params, digest", LARGER_SYNTH_SPECS,
+                         ids=["-".join([kind, *map(str, params.values())])
+                              for kind, params, _ in LARGER_SYNTH_SPECS])
+def test_synth_text_larger_sizes(kind, params, digest):
     _, _, synthesize = cli.build_walk({"type": kind, "params": params})
     assert sha256(to_text(synthesize()).encode()) == digest
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from szwalk import markov, oracle
-from szwalk.gates import Circuit, Gate, compose, dagger, gate_count, x
+from szwalk.gates import (Circuit, Gate, compose, dagger, gate_count, on_qubits,
+                          with_controls, x)
 from szwalk.simulator import apply, basis_state, unitary_of
-from szwalk.synth import (Partition, SingleReference, circulant_parts,
+from szwalk.synth import (Partition, SingleReference,
                           complete_parts, controlled_shift_transform,
                           cycle_parts, kb_complete, kb_cycle, shift_circuit,
                           state_prep, synth_bipartite, synth_circulant,
@@ -15,6 +16,13 @@ from szwalk.synth import (Partition, SingleReference, circulant_parts,
                           synth_partitioned, synth_single_reference,
                           synth_tensor, synth_wheel, synth_win_cycles,
                           tensor_parts, verify)
+
+
+def member_transform(t, y, n):
+    """Register-2 circuit ``t`` lifted onto both n-qubit registers, under
+    the register-1 controls selecting vertex y."""
+    pattern = tuple((q, (y >> (n - 1 - q)) & 1) for q in range(n))
+    return with_controls(on_qubits(t, list(range(n, 2 * n)), 2 * n), pattern)
 
 
 def permutation_from_map(dim, fn):
@@ -350,30 +358,52 @@ class TestPartitioned:
         # bipartite subsets are bitmask shaped, so segment controls stay compact
         assert max(len(g.controls) for g in c.gates) <= 4
 
-    def test_reproduces_wheel_unitary(self):
+    @staticmethod
+    def wheel8_inputs(amounts):
+        """W_8 partition, per-member shift transform (member y of the outer
+        subset shifted by ``amounts[y]``) and preparations."""
         g = markov.google_matrix(markov.wheel_graph(8), 0.85)
-        transforms = {
-            (0, y): shift_circuit(3, y, "left", controls=[(0, 0)], width=4, offset=1)
-            for y in range(1, 8)
-        }
+        t0 = compose(*(member_transform(
+            shift_circuit(3, amounts[y], "left", controls=[(0, 0)], width=4, offset=1), y, 4)
+            for y in range(1, 8)))
         phi0 = np.zeros(16)
         phi0[:9] = oracle.column_state(g, 0)
         phi_hub = np.zeros(16)
         phi_hub[:9] = oracle.column_state(g, 8)
         partition = Partition(subsets=[range(8), [8]], references=[0, 8], basis=[0, 0])
-        c = synth_partitioned(g, partition, transforms,
-                              [state_prep(phi0, 0), state_prep(phi_hub, 0)])
+        return g, partition, {0: t0}, [state_prep(phi0, 0), state_prep(phi_hub, 0)]
+
+    def test_reproduces_wheel_unitary(self):
+        c = synth_partitioned(*self.wheel8_inputs(list(range(8))))
         np.testing.assert_allclose(unitary_of(c), unitary_of(synth_wheel(3)), atol=1e-12)
+
+    def test_wrong_shift_for_one_member_names_it(self):
+        amounts = list(range(8))
+        amounts[5] = 3
+        with pytest.raises(ValueError, match=r"transform check failed for \(x=0, y=5\)"):
+            synth_partitioned(*self.wheel8_inputs(amounts))
 
     def test_transform_check_failure_reports_pair(self):
         p = markov.complete_bipartite(2, 2)
         partition = Partition(subsets=[range(2), range(2, 4)], references=[0, 2],
                               basis=[0, 0])
-        bad = {(0, 1): shift_circuit(2, 1, "left")}  # columns are equal; a shift breaks it
+        # columns are equal; shifting member 1 breaks it
+        bad = {0: member_transform(shift_circuit(2, 1, "left"), 1, 2)}
         preps = [state_prep(oracle.column_state(p, 0), 0),
                  state_prep(oracle.column_state(p, 2), 0)]
         with pytest.raises(ValueError, match=r"x=0, y=1"):
             synth_partitioned(p, partition, bad, preps)
+
+    def test_transform_targeting_register_one_rejected(self):
+        p = markov.complete_bipartite(2, 2)
+        partition = Partition(subsets=[range(2), range(2, 4)], references=[0, 2],
+                              basis=[0, 0])
+        preps = [state_prep(oracle.column_state(p, 0), 0),
+                 state_prep(oracle.column_state(p, 2), 0)]
+        # X on qubit 1 swaps members 0 and 1, whose columns are equal, so
+        # only the register check can catch it
+        with pytest.raises(ValueError, match="register 1"):
+            synth_partitioned(p, partition, {0: Circuit(4, [x(1)])}, preps)
 
     def test_prep_check_failure(self):
         p = markov.complete_bipartite(2, 2)
