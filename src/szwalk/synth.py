@@ -424,9 +424,12 @@ def synth_partitioned(p: np.ndarray, partition: Partition, transforms,
         if any(q < n for g in t_x.gates for q in g.qubits):
             raise ValueError(f"transform for subset {xi} has a gate targeting register 1")
         members = list(sub)
-        state = np.zeros((dim, dim))
-        state[members] = phi[members]
-        moved = apply(t_x, state.reshape(dim * dim)).reshape(dim, dim)[members]
+        if t_x.gates:
+            state = np.zeros((dim, dim))
+            state[members] = phi[members]
+            moved = apply(t_x, state.reshape(dim * dim)).reshape(dim, dim)[members]
+        else:
+            moved = phi[members]
         errs = np.abs(moved - phi[ref]).max(axis=1)
         worst = int(np.argmax(errs))
         if errs[worst] > check_tol:
@@ -578,8 +581,11 @@ def verify(circuit: Circuit, p: np.ndarray, tolerance: float = 1e-10) -> VerifyR
     (k, l) register values, d = 2^n; its valid columns are ``[..., :N, :N]``.
     ``max_deviation`` is the largest entrywise difference on the valid
     block, ``leakage`` the largest amplitude a valid column acquires on an
-    output state with i >= N or j >= N.
+    output state with i >= N or j >= N.  A negative or non-finite
+    ``tolerance`` raises ValueError.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     p = np.asarray(p, dtype=float)
     n_states = p.shape[0]
     d = 2 ** circuit_registers(circuit.width, n_states)

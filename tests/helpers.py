@@ -2,14 +2,16 @@
 
 import numpy as np
 
-from szwalk.gates import Circuit, Gate
+from szwalk.gates import GATE_KINDS, Circuit, Gate
 
 
 def random_circuit(rng, width, n_gates):
-    """Random circuit over every gate kind, with random control patterns."""
+    """Random circuit over every gate kind (SWAP from width 2), with random
+    control patterns."""
+    kinds = [k for k in GATE_KINDS if k != "SWAP" or width > 1]
     out = []
     for _ in range(n_gates):
-        kind = rng.choice(["X", "H", "RY", "Z", "ZP", "SWAP", "GPHASE"])
+        kind = rng.choice(kinds)
         free = list(rng.permutation(width))
         if kind == "SWAP":
             qubits, free = (free[0], free[1]), free[2:]

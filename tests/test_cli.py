@@ -31,6 +31,11 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["pass"] is False
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_exits_two(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify", "--graph", "cycle", "--n", "8", "--tol", tol)
+        assert code == 2 and out == "" and "tolerance must be finite and nonnegative" in err
+
     def test_invalid_input_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--graph", "cycle", "--n", "6")
         assert code == 2 and "power of two" in err

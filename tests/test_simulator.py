@@ -5,7 +5,7 @@ import pytest
 
 from szwalk import gates
 from szwalk.gates import Circuit, compose
-from szwalk.simulator import apply, basis_state, unitary_of
+from szwalk.simulator import _apply_gate, apply, basis_state, unitary_of
 from helpers import random_circuit
 
 
@@ -87,3 +87,55 @@ class TestInvariants:
         s /= np.linalg.norm(s)
         np.testing.assert_allclose(apply(compose(a, b), s), apply(b, apply(a, s)),
                                    atol=1e-12)
+
+
+def gate_by_gate(circuit, array):
+    """Reference executor: every gate in order on the whole array, no blocks."""
+    array = np.array(array, dtype=complex)
+    t = array.reshape((2,) * circuit.width + array.shape[1:])
+    for g in circuit.gates:
+        _apply_gate(t, g)
+    return array
+
+
+def assert_bit_identical(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
+    np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+class TestMatchesGateByGate:
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_random_circuits_match_gate_by_gate(self, width):
+        rng = np.random.default_rng(100 + width)
+        c = random_circuit(rng, width, 24)
+        dim = 2 ** width
+        s = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        s[::3] = -0.0
+        assert_bit_identical(apply(c, s), gate_by_gate(c, s))
+        assert_bit_identical(unitary_of(c), gate_by_gate(c, np.eye(dim)))
+
+    def test_x_and_swap_only(self):
+        c = Circuit(4, [gates.x(0), gates.swap(1, 3, [(0, 1)]), gates.x(2, [(1, 0), (3, 1)]),
+                        gates.swap(0, 2)])
+        assert_bit_identical(unitary_of(c), gate_by_gate(c, np.eye(16)))
+
+    def test_sign_gates_only(self):
+        c = Circuit(3, [gates.z(0), gates.zp(1, [(0, 1)]), gates.gphase(-1, [(2, 0)]),
+                        gates.gphase(-1)])
+        assert_bit_identical(unitary_of(c), gate_by_gate(c, np.eye(8)))
+
+    def test_width_zero_phase(self):
+        u = unitary_of(Circuit(0, [gates.gphase(-1)]))
+        assert_bit_identical(u, np.array([[-1.0 + 0j]]))
+
+    def test_equal_circuits_with_signed_zero_angles_run_their_own(self):
+        plus = Circuit(1, [gates.z(0), gates.ry(0, 0.0)])
+        minus = Circuit(1, [gates.z(0), gates.ry(0, -0.0)])
+        assert plus == minus and hash(plus) == hash(minus)
+        want_plus = gate_by_gate(plus, np.eye(2))
+        want_minus = gate_by_gate(minus, np.eye(2))
+        assert not np.array_equal(np.signbit(want_plus.real), np.signbit(want_minus.real))
+        for c, want in ((plus, want_plus), (minus, want_minus)):
+            assert_bit_identical(unitary_of(c), want)
+            assert_bit_identical(apply(c, np.array([1.0, 0.0])), want[:, 0])

@@ -189,6 +189,11 @@ class TestSingleReferenceFamilies:
     def test_complete_k8(self):
         assert verify(synth_complete(3), markov.complete_graph(8)).passed
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            verify(synth_cycle(3), markov.cycle_graph(8), tolerance=tol)
+
     def test_k2_equals_frozen_matrix(self):
         u = unitary_of(synth_k2()).real
         np.testing.assert_allclose(
