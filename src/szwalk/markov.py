@@ -6,6 +6,7 @@ to vertex i, and every column sums to 1.  Connectivity matrices are 0/1
 arrays with the same orientation (``C[i, j] = 1`` for a link j -> i).
 """
 
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -16,20 +17,6 @@ COLUMN_SUM_TOL = 1e-12
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def normalize_columns(adjacency: np.ndarray) -> np.ndarray:
-    """Column-normalize a nonnegative adjacency matrix into a transition matrix."""
-    a = np.asarray(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("adjacency must be square")
-    if (a < 0).any():
-        raise ValueError("adjacency entries must be nonnegative")
-    indeg = a.sum(axis=0)
-    if (indeg == 0).any():
-        raise ValueError(f"zero column(s) at {np.flatnonzero(indeg == 0).tolist()}; "
-                         "cannot column-normalize")
-    return a / indeg
 
 
 def cycle_graph(n_vertices: int) -> np.ndarray:
@@ -67,14 +54,12 @@ def complete_bipartite(n1: int, n2: int) -> np.ndarray:
 def crown_graph(n: int) -> np.ndarray:
     """Crown graph S_N^0, the bipartite double cover of K_N.
 
-    Column-normalized adjacency of A(K_N) (x) A(K_2); requires N a power
-    of two with N >= 4 to match the synthesizer's domain.
+    The chain K_N (x) K_2; requires N a power of two with N >= 4 to match
+    the synthesizer's domain.
     """
     if not _is_power_of_two(n) or n < 4:
         raise ValueError(f"crown graph needs a power-of-two N >= 4, got {n}")
-    a_kn = np.ones((n, n)) - np.eye(n)
-    a_k2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return normalize_columns(np.kron(a_kn, a_k2))
+    return tensor(complete_graph(n), complete_graph(2))
 
 
 def wheel_graph(n_outer: int, directed: bool = False) -> np.ndarray:
@@ -218,7 +203,7 @@ def _log2_exact(n, what: str) -> int:
 
 
 def _custom(columns) -> np.ndarray:
-    p = np.asarray(columns, dtype=float).T
+    p = columns.T
     validate(p).raise_if_invalid()
     return p
 
@@ -228,6 +213,29 @@ def _synth_custom(s, q):
 
 
 REQUIRED = object()   # schema marker for a parameter without a default
+# What each spec parameter must be: its nesting depth of numbers (0 for a
+# scalar) and its description.
+_PARAM_TYPES = {"n": (0, "an integer"), "n1": (0, "an integer"), "n2": (0, "an integer"),
+                "offset_x": (0, "an integer"), "alpha": (0, "a number"),
+                "column": (1, "an array of numbers"),
+                "matrix": (2, "an array of arrays of numbers")}
+
+
+def _typed(kind: str, name: str, value):
+    """Spec parameter ``name`` as its builders take it: an int for sizes
+    and offsets (8.0 is 8), a float for alpha, a float array for column
+    and matrix.  Any other JSON type raises ValueError naming it."""
+    depth, what = _PARAM_TYPES[name]
+    leaves = np.asarray(value, dtype=object)
+    if leaves.ndim == depth and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in leaves.flat):
+        if depth:
+            return leaves.astype(float)
+        if what == "a number":
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    raise ValueError(f"{kind} spec param {name!r} must be {what}, got {reprlib.repr(value)}")
 
 
 class Graph(NamedTuple):
@@ -243,34 +251,34 @@ class Graph(NamedTuple):
 
 def _wheel(directed: bool) -> Graph:
     return Graph({"n": REQUIRED, "alpha": 0.85},
-                 lambda q: google_matrix(wheel_graph(int(q["n"]), directed), float(q["alpha"])),
-                 lambda s, q: s.synth_wheel(_log2_exact(q["n"], "n"), directed, float(q["alpha"])))
+                 lambda q: google_matrix(wheel_graph(q["n"], directed), q["alpha"]),
+                 lambda s, q: s.synth_wheel(_log2_exact(q["n"], "n"), directed, q["alpha"]))
 
 
 GRAPHS = {
-    "cycle": Graph({"n": REQUIRED}, lambda q: cycle_graph(int(q["n"])),
+    "cycle": Graph({"n": REQUIRED}, lambda q: cycle_graph(q["n"]),
                    lambda s, q: s.synth_cycle(_log2_exact(q["n"], "n"))),
-    "complete": Graph({"n": REQUIRED}, lambda q: complete_graph(int(q["n"])),
+    "complete": Graph({"n": REQUIRED}, lambda q: complete_graph(q["n"]),
                       lambda s, q: s.synth_complete(_log2_exact(q["n"], "n"))),
     "bipartite": Graph({"n1": REQUIRED, "n2": REQUIRED},
-                       lambda q: complete_bipartite(int(q["n1"]), int(q["n2"])),
+                       lambda q: complete_bipartite(q["n1"], q["n2"]),
                        lambda s, q: s.synth_bipartite(_log2_exact(q["n1"], "n1"),
                                                       _log2_exact(q["n2"], "n2"))),
-    "crown": Graph({"n": REQUIRED}, lambda q: crown_graph(int(q["n"])),
+    "crown": Graph({"n": REQUIRED}, lambda q: crown_graph(q["n"]),
                    lambda s, q: s.synth_crown(_log2_exact(q["n"], "n"))),
     "wheel": _wheel(False),
     "wheel_directed": _wheel(True),
     "win": Graph({"n1": REQUIRED, "n2": REQUIRED},
-                 lambda q: win_cycles(int(q["n1"]), int(q["n2"])),
+                 lambda q: win_cycles(q["n1"], q["n2"]),
                  lambda s, q: s.synth_win_cycles(_log2_exact(q["n1"], "n1"),
                                                     _log2_exact(q["n2"], "n2"))),
     "k2": Graph({}, lambda q: complete_graph(2), lambda s, q: s.synth_k2()),
     "directed8": Graph({"alpha": 0.85},
-                       lambda q: google_matrix(directed_example8(), float(q["alpha"])),
-                       lambda s, q: s.synth_directed8(float(q["alpha"]))),
+                       lambda q: google_matrix(directed_example8(), q["alpha"]),
+                       lambda s, q: s.synth_directed8(q["alpha"])),
     "circulant": Graph({"column": REQUIRED, "offset_x": 1},
-                       lambda q: circulant(q["column"], int(q["offset_x"])),
-                       lambda s, q: s.synth_circulant(np.sqrt(q["column"]), int(q["offset_x"]))),
+                       lambda q: circulant(q["column"], q["offset_x"]),
+                       lambda s, q: s.synth_circulant(np.sqrt(q["column"]), q["offset_x"])),
     "custom": Graph({"matrix": REQUIRED}, lambda q: _custom(q["matrix"]), _synth_custom),
 }
 
@@ -279,7 +287,8 @@ def resolve(spec: dict) -> tuple[Graph, dict]:
     """A spec's GRAPHS entry and its parameters with the defaults filled in.
 
     Raises ValueError for a spec or ``params`` that is not a JSON object,
-    an unknown type, a parameter the type does not take or a missing one.
+    an unknown type, a parameter the type does not take, a missing one or
+    one of the wrong JSON type (see ``_typed``).
     """
     if not isinstance(spec, dict):
         raise ValueError(f"graph spec must be a JSON object, got {type(spec).__name__}")
@@ -299,7 +308,7 @@ def resolve(spec: dict) -> tuple[Graph, dict]:
     missing = [repr(name) for name, value in params.items() if value is REQUIRED]
     if missing:
         raise ValueError(f"{kind} spec needs {', '.join(missing)}")
-    return graph, params
+    return graph, {name: _typed(kind, name, value) for name, value in params.items()}
 
 
 def from_spec(spec: dict) -> np.ndarray:

@@ -1,23 +1,25 @@
 """Compilation of structured chains into gate-level walk circuits.
 
-Every synthesizer targets the same decomposition: the walk operator splits
-into a register swap and a reflection, and the reflection is diagonalized
-per column subset by (a) a transform T_x mapping each column state of
-subset x onto the subset's reference state and (b) a preparation routine
-mapping a computational basis state onto that reference.  The diagonalized
-core is a multi-controlled phase flip.
+The walk operator splits into a register swap and the reflection 2 Pi - I,
+and every chain's reflection is diagonalized by one ``Decomposition``: a
+segment per column subset x, whose diagonalizer U_x maps each member's
+projector state |y>|phi_y> onto |y>|b_x>, where a multi-controlled flip of
+|b_x> under the subset's register-1 patterns acts.  ``synth_from_parts``
+is the one assembler, and each ``synth_*`` wraps a ``*_parts`` builder:
 
-Single-reference chains (cycle, complete, circulant, tensor products) have
-one subset and are assembled by ``synth_from_parts``.  The partitioned
-families (bipartite, WIN, wheel, directed-8) are each a ``Partition``, one
-T_x per subset and one preparation per subset, assembled by
-``synth_partitioned``, which checks both numerically first.
+- single-reference chains (cycle, complete, circulant) have one segment,
+  U = (I (x) K_b^dag) T for a block transform T and a preparation K_b;
+- the partitioned families (bipartite, WIN, wheel, directed-8) go through
+  ``partitioned_parts``, one transform T_x and one preparation per subset,
+  both checked numerically first;
+- ``tensor_parts`` composes any two decompositions whose second factor has
+  2^n states; the crown graph is K_{2^n} (x) K_2.
 
 Sign convention used throughout: the multi-controlled flips realize
 ``I - 2|b><b|`` on their patterns, so a single ``GPHASE(-1)`` is appended
-per assembled walk circuit (not per subset segment) to recover the
-reflection ``2 Pi - I`` exactly.  With one phase per segment the overall
-sign comes out wrong whenever the number of subsets is even.
+per assembled walk circuit (not per segment) to recover the reflection
+``2 Pi - I`` exactly.  With one phase per segment the overall sign comes
+out wrong whenever the number of segments is even.
 
 Correctness of each synthesizer is defined by ``verify``: exact agreement
 with the dense oracle on the valid subspace, and no leakage out of it.
@@ -184,47 +186,52 @@ def kb_complete(n: int) -> tuple[Circuit, int]:
 
 
 # ---------------------------------------------------------------------------
-# Single-reference assembly
+# Decompositions, their assembly and single-reference parts
 
 @dataclass(frozen=True)
-class SingleReference:
-    """A chain's diagonalizing data: U = (I (x) K_b^dag) T on 2n qubits.
+class Decomposition:
+    """A chain's diagonalizing data on two n-qubit registers.
 
-    ``U`` maps every projector state |i>|phi_i> to |i>|basis_b>, which is
-    everything a walk assembly or a tensor composition needs to know.
+    ``segments`` holds one ``(patterns, diagonalizer, basis_b)`` per column
+    subset: ``patterns`` are the register-1 control patterns selecting the
+    subset (``((),)`` selects every row), and the diagonalizer U_x, a
+    circuit on both registers whose gates target register 2, maps
+    |y>|phi_y> to |y>|basis_b> for every member y.  That is everything a
+    walk assembly or a tensor composition needs to know.
     """
 
     n_qubits: int
-    diagonalizer: Circuit
-    basis_b: int
+    n_states: int
+    segments: tuple
 
 
-def _pattern_flip(qubits, value, extra_controls=()):
-    """Gate applying -1 to the basis state ``value`` of the listed qubits."""
-    extra = tuple(extra_controls)
-    if not qubits:
-        return gphase(-1, extra)
-    bits = [(value >> (len(qubits) - 1 - k)) & 1 for k in range(len(qubits))]
-    ctrl = tuple((qubits[k], bits[k]) for k in range(len(qubits) - 1)) + extra
-    return (z if bits[-1] else zp)(qubits[-1], ctrl)
+def synth_from_parts(parts: Decomposition) -> Circuit:
+    """Assemble the walk circuit of a decomposition: per segment U_x, the
+    flip of |b_x> on register 2 under each of its patterns and U_x^dag;
+    then one GPHASE(-1) and the register swap."""
+    n = parts.n_qubits
+    gates = []
+    for patterns, u, b in parts.segments:
+        bits = [(b >> (n - 1 - k)) & 1 for k in range(n)]
+        flip = z if bits[-1] else zp    # on register 2's last qubit, its others as controls
+        flip_controls = tuple(zip(range(n, 2 * n - 1), bits))
+        gates.extend(u.gates)
+        gates.extend(flip(2 * n - 1, flip_controls + pat) for pat in patterns)
+        gates.extend(dagger(u).gates)
+    gates.append(gphase(-1))
+    gates.extend(swap(q, q + n) for q in range(n))
+    return Circuit(2 * n, gates)
 
 
 def single_reference_parts(n: int, t_transform: Circuit, kb: Circuit,
-                           basis_b: int) -> SingleReference:
+                           basis_b: int) -> Decomposition:
+    """One segment selecting every row, with U = (I (x) K_b^dag) T."""
     if t_transform.width != 2 * n:
         raise ValueError(f"transform must act on {2 * n} qubits, got {t_transform.width}")
     if kb.width != n:
         raise ValueError(f"preparation must act on {n} qubit(s), got {kb.width}")
-    reg2 = list(range(n, 2 * n))
-    diag = compose(t_transform, on_qubits(dagger(kb), reg2, 2 * n))
-    return SingleReference(n, diag, basis_b)
-
-
-def synth_from_parts(parts: SingleReference) -> Circuit:
-    """Assemble U -> D -> U^dag -> S from single-reference parts: one
-    unconditional segment whose transform is the whole diagonalizer."""
-    n = parts.n_qubits
-    return _assemble(n, [_Segment(((),), parts.diagonalizer, Circuit(n), parts.basis_b)])
+    diag = compose(t_transform, on_qubits(dagger(kb), range(n, 2 * n), 2 * n))
+    return Decomposition(n, 2 ** n, ((((),), diag, basis_b),))
 
 
 def synth_single_reference(n: int, t_transform: Circuit, kb: Circuit,
@@ -233,7 +240,7 @@ def synth_single_reference(n: int, t_transform: Circuit, kb: Circuit,
     return synth_from_parts(single_reference_parts(n, t_transform, kb, basis_b))
 
 
-def circulant_parts(phi0: np.ndarray, offset_x: int = 1) -> SingleReference:
+def circulant_parts(phi0: np.ndarray, offset_x: int = 1) -> Decomposition:
     """Parts for a chain whose column i is column 0 right-rotated i*x slots;
     K_b is built by state_prep from the reference column with b = 0."""
     phi0 = np.asarray(phi0, dtype=float)
@@ -245,14 +252,12 @@ def circulant_parts(phi0: np.ndarray, offset_x: int = 1) -> SingleReference:
                                   state_prep(phi0, 0), 0)
 
 
-def cycle_parts(n: int) -> SingleReference:
-    kb, b = kb_cycle(n)
-    return single_reference_parts(n, controlled_shift_transform(n, 1, "left"), kb, b)
+def cycle_parts(n: int) -> Decomposition:
+    return single_reference_parts(n, controlled_shift_transform(n, 1, "left"), *kb_cycle(n))
 
 
-def complete_parts(n: int) -> SingleReference:
-    kb, b = kb_complete(n)
-    return single_reference_parts(n, controlled_shift_transform(n, 1, "left"), kb, b)
+def complete_parts(n: int) -> Decomposition:
+    return single_reference_parts(n, controlled_shift_transform(n, 1, "left"), *kb_complete(n))
 
 
 def synth_circulant(phi0: np.ndarray, offset_x: int = 1) -> Circuit:
@@ -277,24 +282,34 @@ def synth_k2() -> Circuit:
 # ---------------------------------------------------------------------------
 # Tensor composition
 
-def tensor_parts(a: SingleReference, b: SingleReference) -> SingleReference:
-    """Compose single-reference parts for P = P_1 (x) P_2.
+def tensor_parts(a: Decomposition, b: Decomposition) -> Decomposition:
+    """Decomposition of P = P_1 (x) P_2 from those of its factors.
 
-    Factor 1's diagonalizer acts on the high qubits of both composite
-    registers, factor 2's on the low qubits; the joint basis state is
-    |b_1, b_2>.  The result is single-reference shaped, so compositions
-    nest.
+    Each pair of factor segments (x, y) becomes one segment: its patterns
+    are the products of the factors' patterns, its U is U_x on the high
+    qubits of both registers followed by U_y on the low ones, and its basis
+    state is |b_x, b_y>.  Vertex i_1 * N_2 + i_2 is the bit concatenation
+    of i_1 and i_2 only when N_2 = 2^n_2, so any other second factor raises
+    NoSynthesis; the first may be padded.  The result nests.
     """
     n1, n2 = a.n_qubits, b.n_qubits
+    if b.n_states != 2 ** n2:
+        raise NoSynthesis(f"no gate synthesis: second tensor factor N={b.n_states} is not 2^{n2}")
     n = n1 + n2
     map1 = list(range(n1)) + list(range(n, n + n1))
     map2 = list(range(n1, n)) + list(range(n + n1, 2 * n))
-    u1 = on_qubits(a.diagonalizer, map1, 2 * n)
-    u2 = on_qubits(b.diagonalizer, map2, 2 * n)
-    return SingleReference(n, compose(u1, u2), a.basis_b * 2 ** n2 + b.basis_b)
+    segments = []
+    for patterns_x, u_x, b_x in a.segments:
+        u1 = on_qubits(u_x, map1, 2 * n)
+        for patterns_y, u_y, b_y in b.segments:
+            patterns = tuple(px + tuple((map2[q], v) for q, v in py)
+                             for px in patterns_x for py in patterns_y)
+            segments.append((patterns, compose(u1, on_qubits(u_y, map2, 2 * n)),
+                             b_x * 2 ** n2 + b_y))
+    return Decomposition(n, a.n_states * b.n_states, tuple(segments))
 
 
-def synth_tensor(a: SingleReference, b: SingleReference) -> Circuit:
+def synth_tensor(a: Decomposition, b: Decomposition) -> Circuit:
     """Walk circuit for the Kronecker product of two synthesized chains."""
     return synth_from_parts(tensor_parts(a, b))
 
@@ -307,7 +322,7 @@ def synth_crown(n: int) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Partitioned (multi-reference) assembly
+# Partitioned (multi-reference) decompositions
 
 @dataclass(frozen=True)
 class Partition:
@@ -361,36 +376,9 @@ def subset_patterns(subset, n_qubits: int):
             for m in members]
 
 
-@dataclass(frozen=True)
-class _Segment:
-    patterns: tuple     # register-1 control patterns covering the subset
-    transform: Circuit  # T_x on 2n qubits, controls included (may be empty)
-    prep: Circuit       # K_b on the n register-2 qubits, uncontrolled
-    basis_b: int
-
-
-def _assemble(n: int, segments) -> Circuit:
-    reg2 = list(range(n, 2 * n))
-    gates = []
-    for seg in segments:
-        kb = on_qubits(seg.prep, reg2, 2 * n)
-        kb_dag = dagger(kb)
-        gates.extend(seg.transform.gates)
-        for pat in seg.patterns:
-            gates.extend(with_controls(kb_dag, pat).gates)
-        for pat in seg.patterns:
-            gates.append(_pattern_flip(reg2, seg.basis_b, pat))
-        for pat in seg.patterns:
-            gates.extend(with_controls(kb, pat).gates)
-        gates.extend(dagger(seg.transform).gates)
-    gates.append(gphase(-1))
-    gates.extend(swap(q, q + n) for q in range(n))
-    return Circuit(2 * n, gates)
-
-
-def synth_partitioned(p: np.ndarray, partition: Partition, transforms,
-                      preps, check_tol: float = PARTITION_CHECK_TOL) -> Circuit:
-    """General multi-reference synthesis: the walk circuit of every
+def partitioned_parts(p: np.ndarray, partition: Partition, transforms,
+                      preps, check_tol: float = PARTITION_CHECK_TOL) -> Decomposition:
+    """General multi-reference decomposition, checked: the parts of every
     partitioned family.
 
     ``transforms`` maps a subset index x to one circuit T_x on both
@@ -398,12 +386,12 @@ def synth_partitioned(p: np.ndarray, partition: Partition, transforms,
     y of subset x, r its reference; a missing entry means identity.  T_x's
     gates must target register 2, while their controls may sit on either
     register.  ``preps`` lists one width-n preparation K per subset with
-    K|b_x> = |phi_r>.  Both are checked numerically within ``check_tol``
-    before assembly.  Since T_x cannot move amplitude between register-1
-    rows, one ``apply`` to the state holding |y>|phi_y> in every member row
-    checks the whole subset.  Subset x becomes the segment T_x, then K^dag,
-    the flip of |b_x> and K under the subset's register-1 patterns
-    (``subset_patterns``), then T_x^dag.
+    K|b_x> = |phi_r>.  Both are checked numerically within ``check_tol``.
+    Since T_x cannot move amplitude between register-1 rows, one ``apply``
+    to the state holding |y>|phi_y> in every member row checks the whole
+    subset.  Subset x becomes the segment whose U_x is T_x followed by
+    K^dag under each of the subset's register-1 patterns
+    (``subset_patterns``).
     """
     p = np.asarray(p, dtype=float)
     validate(p).raise_if_invalid()
@@ -439,8 +427,17 @@ def synth_partitioned(p: np.ndarray, partition: Partition, transforms,
         err = np.abs(apply(prep, basis_state(n, b)) - phi[ref]).max()
         if err > check_tol:
             raise ValueError(f"preparation check failed for subset {xi}: deviation {err:.3e}")
-        segments.append(_Segment(tuple(subset_patterns(sub, n)), t_x, prep, b))
-    return _assemble(n, segments)
+        patterns = tuple(subset_patterns(sub, n))
+        kb_dag = dagger(on_qubits(prep, range(n, 2 * n), 2 * n))
+        segments.append((patterns, compose(t_x, *(with_controls(kb_dag, pat)
+                                                  for pat in patterns)), b))
+    return Decomposition(n, n_states, tuple(segments))
+
+
+def synth_partitioned(p: np.ndarray, partition: Partition, transforms,
+                      preps, check_tol: float = PARTITION_CHECK_TOL) -> Circuit:
+    """Walk circuit of a checked ``partitioned_parts`` decomposition."""
+    return synth_from_parts(partitioned_parts(p, partition, transforms, preps, check_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +461,8 @@ def _block_shift(subset, n: int) -> Circuit:
                        after=tuple((n + q, v) for q, v in pattern))
 
 
-def synth_bipartite(n1: int, n2: int) -> Circuit:
-    """Walk circuit for the complete bipartite graph K_{2^n1, 2^n2}.
+def bipartite_parts(n1: int, n2: int) -> Decomposition:
+    """The complete bipartite graph K_{2^n1, 2^n2}.
 
     Natural two-subset partition; all transforms are identity because the
     columns within each part coincide.  Register width is n1 + 1.
@@ -476,8 +473,12 @@ def synth_bipartite(n1: int, n2: int) -> Circuit:
     n = n1 + 1
     kb1 = Circuit(n, [h(q) for q in range(n - n2, n)])
     kb2 = Circuit(n, [h(q) for q in range(1, n)])
-    return synth_partitioned(complete_bipartite(big_n1, big_n2),
+    return partitioned_parts(complete_bipartite(big_n1, big_n2),
                              _two_blocks(big_n1, big_n2, basis=(big_n1, 0)), {}, [kb1, kb2])
+
+
+def synth_bipartite(n1: int, n2: int) -> Circuit:
+    return synth_from_parts(bipartite_parts(n1, n2))
 
 
 def _cycle_pair_gates(qubits, controls):
@@ -490,8 +491,8 @@ def _cycle_pair_gates(qubits, controls):
     return gates
 
 
-def synth_win_cycles(n1: int, n2: int) -> Circuit:
-    """Walk circuit for two cycles C_{2^n1}, C_{2^n2} joined completely.
+def win_cycles_parts(n1: int, n2: int) -> Decomposition:
+    """Two cycles C_{2^n1}, C_{2^n2} joined completely.
 
     Both subsets use restricted cyclic shifts: register 2 is decremented
     modulo the block size under controls keeping the complementary block
@@ -513,13 +514,17 @@ def synth_win_cycles(n1: int, n2: int) -> Circuit:
     kb2_gates += [h(q, [(0, 0)]) for q in range(1, n)]
     kb2_gates += _cycle_pair_gates(list(range(n - n2, n)), [(0, 1)])
 
-    return synth_partitioned(win_cycles(big_n1, big_n2), partition,
+    return partitioned_parts(win_cycles(big_n1, big_n2), partition,
                              {xi: _block_shift(sub, n) for xi, sub in enumerate(partition.subsets)},
                              [Circuit(n, kb1_gates), Circuit(n, kb2_gates)])
 
 
-def synth_wheel(m: int, directed: bool = False, alpha: float = 0.85) -> Circuit:
-    """Walk circuit for the Google matrix of the wheel W_{2^m} (or W'_{2^m}).
+def synth_win_cycles(n1: int, n2: int) -> Circuit:
+    return synth_from_parts(win_cycles_parts(n1, n2))
+
+
+def wheel_parts(m: int, directed: bool = False, alpha: float = 0.85) -> Decomposition:
+    """The Google matrix of the wheel W_{2^m} (or W'_{2^m}).
 
     The chain has N+1 = 2^m + 1 vertices, so registers carry m+1 qubits and
     correctness is defined on the valid subspace.  Outer vertices share one
@@ -537,12 +542,16 @@ def synth_wheel(m: int, directed: bool = False, alpha: float = 0.85) -> Circuit:
     phi0[:big_n + 1] = column_state(g, 0)
     theta = math.acos(math.sqrt(1.0 - g[big_n, big_n]))
     kb_hub = Circuit(n, [ry(0, theta)] + [h(q, [(0, 0)]) for q in range(1, n)])
-    return synth_partitioned(g, partition, {0: _block_shift(partition.subsets[0], n)},
+    return partitioned_parts(g, partition, {0: _block_shift(partition.subsets[0], n)},
                              [state_prep(phi0, 0), kb_hub])
 
 
-def synth_directed8(alpha: float = 0.85) -> Circuit:
-    """Walk circuit for the Google matrix of the 8-vertex directed example.
+def synth_wheel(m: int, directed: bool = False, alpha: float = 0.85) -> Circuit:
+    return synth_from_parts(wheel_parts(m, directed, alpha))
+
+
+def directed8_parts(alpha: float = 0.85) -> Decomposition:
+    """The Google matrix of the 8-vertex directed example.
 
     Three subsets: the 4-cycle (restricted shifts modulo 4), the pair
     {4, 5} (vertex 5 shifted by 2), and {6, 7} whose columns already agree.
@@ -554,8 +563,12 @@ def synth_directed8(alpha: float = 0.85) -> Circuit:
     (member5,) = subset_patterns([5], n)
     transforms = {0: _block_shift(partition.subsets[0], n),
                   1: shift_circuit(n, 2, "left", controls=member5, width=2 * n, offset=n)}
-    return synth_partitioned(g, partition, transforms,
+    return partitioned_parts(g, partition, transforms,
                              [state_prep(column_state(g, r), 0) for r in partition.references])
+
+
+def synth_directed8(alpha: float = 0.85) -> Circuit:
+    return synth_from_parts(directed8_parts(alpha))
 
 
 # ---------------------------------------------------------------------------

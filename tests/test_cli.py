@@ -69,6 +69,18 @@ class TestSpecFile:
         assert code == 2 and "takes no 'alpha', 'bogus'" in err
         assert [f.name for f in tmp_path.iterdir()] == ["graph.json"]
 
+    @pytest.mark.parametrize("params, name", [
+        ({"n": None}, "n"), ({"n": [8]}, "n"), ({"n": 8.7}, "n"),
+        ({"n": 8, "alpha": None}, "alpha"), ({"column": 0.5}, "column"),
+    ], ids=["cycle-n-null", "cycle-n-list", "cycle-n-fraction", "wheel-alpha-null",
+            "circulant-column-scalar"])
+    def test_param_of_the_wrong_type_exits_two(self, capsys, tmp_path, params, name):
+        kind = {"alpha": "wheel", "column": "circulant"}.get(name, "cycle")
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"type": kind, "params": params}))
+        code, out, err = run_cli(capsys, "synth", "--spec", str(path))
+        assert code == 2 and out == "" and f"param '{name}' must be" in err
+
 
 class TestSynthCommand:
     def test_k2_text_round_trips_to_oracle_equal_circuit(self, capsys):

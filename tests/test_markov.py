@@ -339,3 +339,24 @@ class TestFromSpec:
             markov.from_spec({"type": "cycle", "params": {"n": 8, "alpha": 0.5, "bogus": 1}})
         with pytest.raises(ValueError, match="cycle spec takes no 'matrix'"):
             markov.from_spec({"type": "cycle", "params": {"n": 4}, "matrix": [[1.0]]})
+
+    @pytest.mark.parametrize("spec, name", [
+        ({"type": "cycle", "params": {"n": None}}, "n"),
+        ({"type": "cycle", "params": {"n": [8]}}, "n"),
+        ({"type": "cycle", "params": {"n": 8.7}}, "n"),
+        ({"type": "cycle", "params": {"n": True}}, "n"),
+        ({"type": "wheel", "params": {"n": 8, "alpha": None}}, "alpha"),
+        ({"type": "wheel", "params": {"n": 8, "alpha": "0.85"}}, "alpha"),
+        ({"type": "circulant", "params": {"column": 0.5}}, "column"),
+        ({"type": "circulant", "params": {"column": [0.5, 0.5], "offset_x": 1.5}}, "offset_x"),
+        ({"type": "custom", "matrix": {"a": 1}}, "matrix"),
+        ({"type": "custom", "matrix": [[0.0, 1.0], [1.0]]}, "matrix"),
+    ], ids=["n-null", "n-list", "n-fraction", "n-bool", "alpha-null", "alpha-string",
+            "column-scalar", "offset-fraction", "matrix-object", "matrix-ragged"])
+    def test_param_of_the_wrong_type_is_named(self, spec, name):
+        with pytest.raises(ValueError, match=f"spec param '{name}' must be"):
+            markov.from_spec(spec)
+
+    def test_integral_float_size_accepted(self):
+        np.testing.assert_array_equal(
+            markov.from_spec({"type": "cycle", "params": {"n": 8.0}}), markov.cycle_graph(8))

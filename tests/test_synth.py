@@ -7,15 +7,16 @@ from szwalk import markov, oracle
 from szwalk.gates import (Circuit, Gate, compose, dagger, gate_count, on_qubits,
                           with_controls, x)
 from szwalk.simulator import apply, basis_state, unitary_of
-from szwalk.synth import (Partition, SingleReference,
-                          complete_parts, controlled_shift_transform,
-                          cycle_parts, kb_complete, kb_cycle, shift_circuit,
-                          state_prep, synth_bipartite, synth_circulant,
-                          synth_complete, synth_crown, synth_cycle,
+from szwalk.markov import NoSynthesis
+from szwalk.synth import (Decomposition, Partition, bipartite_parts,
+                          circulant_parts, complete_parts, controlled_shift_transform,
+                          cycle_parts, directed8_parts, kb_complete,
+                          kb_cycle, shift_circuit, state_prep, synth_bipartite,
+                          synth_circulant, synth_complete, synth_crown, synth_cycle,
                           synth_directed8, synth_from_parts, synth_k2,
-                          synth_partitioned, synth_single_reference,
+                          partitioned_parts, synth_partitioned, synth_single_reference,
                           synth_tensor, synth_wheel, synth_win_cycles,
-                          tensor_parts, verify)
+                          tensor_parts, verify, wheel_parts, win_cycles_parts)
 
 
 def member_transform(t, y, n):
@@ -224,8 +225,8 @@ class TestSingleReferenceFamilies:
         assert verify(c, markov.complete_graph(2)).passed
 
     def test_diagonalizer_self_inverse(self):
-        parts = complete_parts(3)
-        u = unitary_of(compose(parts.diagonalizer, dagger(parts.diagonalizer)))
+        ((_, diagonalizer, _),) = complete_parts(3).segments
+        u = unitary_of(compose(diagonalizer, dagger(diagonalizer)))
         np.testing.assert_allclose(u, np.eye(64), atol=1e-12)
 
 
@@ -272,7 +273,7 @@ class TestTensor:
         assert verify(synth_tensor(complete_parts(2), cycle_parts(2)), p).passed
 
     def test_trivial_factor_reduces_to_walk(self):
-        trivial = SingleReference(0, Circuit(0), 0)
+        trivial = Decomposition(0, 1, ((((),), Circuit(0), 0),))
         a = cycle_parts(2)
         np.testing.assert_allclose(unitary_of(synth_tensor(a, trivial)),
                                    unitary_of(synth_from_parts(a)), atol=1e-15)
@@ -475,7 +476,8 @@ class TestShiftDirections:
 
 
 class TestPerMemberFallback:
-    def test_non_bitmask_subsets(self):
+    @staticmethod
+    def inputs():
         # columns equal within {0, 3} and within {1, 2}; neither subset is a
         # bit pattern, so segment controls expand per member
         p = np.zeros((4, 4))
@@ -484,7 +486,104 @@ class TestPerMemberFallback:
         partition = Partition(subsets=[[0, 3], [1, 2]], references=[0, 1], basis=[0, 0])
         preps = [state_prep(oracle.column_state(p, 0), 0),
                  state_prep(oracle.column_state(p, 1), 0)]
-        c = synth_partitioned(p, partition, {}, preps)
+        return p, partition, {}, preps
+
+    def test_non_bitmask_subsets(self):
+        p, *rest = self.inputs()
+        c = synth_partitioned(p, *rest)
         flips = [g for g in c.gates if g.kind in ("Z", "ZP")]
         assert len(flips) == 4  # one flip per member of each subset
         assert verify(c, p).passed
+
+    @pytest.mark.parametrize("first", [True, False], ids=["fallback-x-k2", "k2-x-fallback"])
+    def test_tensor_products_every_pattern_pair(self, first):
+        p, *rest = self.inputs()
+        fallback, k2 = partitioned_parts(p, *rest), complete_parts(1)
+        factors = (fallback, k2) if first else (k2, fallback)
+        chains = (p, markov.complete_graph(2)) if first else (markov.complete_graph(2), p)
+        report = verify(synth_tensor(*factors), markov.tensor(*chains), tolerance=1e-12)
+        assert report.passed, report
+
+
+def _google(connectivity, alpha=0.85):
+    return markov.google_matrix(connectivity, alpha)
+
+
+CIRCULANT_COLUMN = np.random.default_rng(11).dirichlet(np.ones(8))
+
+# (decomposition, its transition matrix) at register widths up to 8 qubits
+FAMILY_PARTS = {
+    "cycle": (lambda: cycle_parts(3), lambda: markov.cycle_graph(8)),
+    "complete": (lambda: complete_parts(3), lambda: markov.complete_graph(8)),
+    "circulant": (lambda: circulant_parts(np.sqrt(CIRCULANT_COLUMN), 3),
+                  lambda: markov.circulant(CIRCULANT_COLUMN, 3)),
+    "crown": (lambda: tensor_parts(complete_parts(2), complete_parts(1)),
+              lambda: markov.crown_graph(4)),
+    "k2": (lambda: complete_parts(1), lambda: markov.complete_graph(2)),
+    "bipartite": (lambda: bipartite_parts(2, 1), lambda: markov.complete_bipartite(4, 2)),
+    "win": (lambda: win_cycles_parts(3, 2), lambda: markov.win_cycles(8, 4)),
+    "wheel": (lambda: wheel_parts(2), lambda: _google(markov.wheel_graph(4))),
+    "wheel-directed": (lambda: wheel_parts(3, directed=True, alpha=0.6),
+                       lambda: _google(markov.wheel_graph(8, directed=True), 0.6)),
+    "directed8": (lambda: directed8_parts(), lambda: _google(markov.directed_example8())),
+    "directed8-x-k2": (lambda: tensor_parts(directed8_parts(), complete_parts(1)),
+                       lambda: markov.tensor(_google(markov.directed_example8()),
+                                             markov.complete_graph(2))),
+}
+
+
+def _selects(pattern, y, n):
+    return all((y >> (n - 1 - q)) & 1 == v for q, v in pattern)
+
+
+class TestDecompositionInvariant:
+    @pytest.mark.parametrize("family", list(FAMILY_PARTS))
+    def test_segment_maps_members_onto_basis_state(self, family):
+        build_parts, build_p = FAMILY_PARTS[family]
+        parts, p = build_parts(), build_p()
+        n, n_states = parts.n_qubits, p.shape[0]
+        assert parts.n_states == n_states and 2 * n <= 8
+        dim = 2 ** n
+        phi = np.zeros((n_states, dim))
+        phi[:, :n_states] = np.sqrt(p).T
+        owners = np.zeros(n_states, dtype=int)
+        for patterns, u, b in parts.segments:
+            assert all(q >= n for g in u.gates for q in g.qubits)
+            members = [y for y in range(n_states)
+                       if any(_selects(pat, y, n) for pat in patterns)]
+            owners[members] += 1
+            state = np.zeros((dim, dim))
+            state[members] = phi[members]
+            moved = apply(u, state.reshape(-1)).reshape(dim, dim)[members]
+            np.testing.assert_allclose(moved, np.broadcast_to(basis_state(n, b), moved.shape),
+                                       rtol=0, atol=1e-12)
+        # every valid vertex belongs to exactly one segment
+        np.testing.assert_array_equal(owners, 1)
+
+
+class TestMixedTensor:
+    @pytest.mark.parametrize("a, b, p", [
+        (lambda: wheel_parts(2), lambda: cycle_parts(2),
+         lambda: markov.tensor(_google(markov.wheel_graph(4)), markov.cycle_graph(4))),
+        (lambda: bipartite_parts(2, 1), lambda: complete_parts(2),
+         lambda: markov.tensor(markov.complete_bipartite(4, 2), markov.complete_graph(4))),
+        (lambda: directed8_parts(), lambda: complete_parts(1),
+         lambda: markov.tensor(_google(markov.directed_example8()), markov.complete_graph(2))),
+        (lambda: win_cycles_parts(2, 2), lambda: complete_parts(1),
+         lambda: markov.tensor(markov.win_cycles(4, 4), markov.complete_graph(2))),
+        (lambda: cycle_parts(2), lambda: bipartite_parts(1, 1),
+         lambda: markov.tensor(markov.cycle_graph(4), markov.complete_bipartite(2, 2))),
+        (lambda: cycle_parts(2), lambda: cycle_parts(2),
+         lambda: markov.tensor(markov.cycle_graph(4), markov.cycle_graph(4))),
+        (lambda: complete_parts(2), lambda: complete_parts(1),
+         lambda: markov.tensor(markov.complete_graph(4), markov.complete_graph(2))),
+    ], ids=["wheel2-x-cycle4", "bipartite21-x-k4", "directed8-x-k2", "win22-x-k2",
+            "cycle4-x-bipartite11", "cycle4-x-cycle4", "k4-x-k2"])
+    def test_verifies_exactly(self, a, b, p):
+        report = verify(synth_tensor(a(), b()), p(), tolerance=1e-12)
+        assert report.passed, report
+
+    def test_padded_second_factor_has_no_synthesis(self):
+        # wheel(2) has N = 5 on 3 qubits: i1 * 5 + i2 is no bit concatenation
+        with pytest.raises(NoSynthesis, match="second tensor factor"):
+            tensor_parts(cycle_parts(2), wheel_parts(2))
