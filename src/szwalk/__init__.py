@@ -16,7 +16,7 @@ from .markov import (circulant, complete_bipartite, complete_graph,
 from .oracle import WalkOracle, column_state, initial_superposition, walk_operator
 from .pagerank import PagerankSeries, compare_hub, export, run
 from .simulator import apply, unitary_of
-from .synth import (Decomposition, Partition, controlled_shift_transform,
+from .synth import (Decomposition, controlled_shift_transform,
                     kb_complete, kb_cycle, shift_circuit, state_prep,
                     synth_bipartite, synth_circulant, synth_complete,
                     synth_crown, synth_cycle, synth_directed8, synth_k2,

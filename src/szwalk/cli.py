@@ -26,13 +26,16 @@ def build_walk(spec: dict):
     ``synthesize()`` builds the walk circuit when a command runs it.  For
     specs outside the synthesizable classes ("custom" matrices,
     non-power-of-two sizes) it raises NoSynthesis, a ValueError that names
-    the reason; commands that can run on the oracle fall back to it.
+    the reason; commands that can run on the oracle fall back to it.  The
+    label joins the type and the typed scalar params the spec gave, so
+    ``{"n": 8.0}`` and ``--n 8`` give the same one; a matrix stays out.
     """
     graph, params = markov.resolve(spec)
     if spec["type"] == "circulant":
         label = f"circulant-{len(params['column'])}-x{int(params['offset_x'])}"
     else:
-        label = "-".join([spec["type"], *map(str, spec.get("params", {}).values())])
+        label = "-".join([spec["type"], *(str(params[k]) for k in spec.get("params", {})
+                                          if np.ndim(params[k]) == 0)])
     return label, graph.matrix(params), lambda: graph.synth(synth, params)
 
 

@@ -126,9 +126,16 @@ def tensor(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 
 
 def circulant(column: np.ndarray, offset_x: int = 1) -> np.ndarray:
-    """Chain whose column i is column 0 cyclically rotated down by i*x slots."""
+    """Chain whose column i is column 0 cyclically rotated down by i*x slots;
+    ``column`` must be a nonempty probability vector (ValueError names it)."""
     column = np.asarray(column, dtype=float)
     n = column.size
+    if n == 0:
+        raise ValueError("circulant column is empty")
+    if not (column >= 0).all():
+        raise ValueError(f"circulant column entries must be nonnegative, got {column.min()}")
+    if not abs(column.sum() - 1.0) <= COLUMN_SUM_TOL:
+        raise ValueError(f"circulant column sums to {column.sum():.12g}, not 1")
     p = np.empty((n, n))
     for i in range(n):
         p[:, i] = np.roll(column, (i * offset_x) % n)

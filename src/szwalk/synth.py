@@ -10,8 +10,8 @@ is the one assembler, and each ``synth_*`` wraps a ``*_parts`` builder:
 - single-reference chains (cycle, complete, circulant) have one segment,
   U = (I (x) K_b^dag) T for a block transform T and a preparation K_b;
 - the partitioned families (bipartite, WIN, wheel, directed-8) go through
-  ``partitioned_parts``, one transform T_x and one preparation per subset,
-  both checked numerically first;
+  ``partitioned_parts``, one ``(subset, T_x, K, b_x)`` record per subset,
+  checked first by one test per member y: T_x|y>|phi_y> = |y>K|b_x>;
 - ``tensor_parts`` composes any two decompositions whose second factor has
   2^n states; the crown graph is K_{2^n} (x) K_2.
 
@@ -245,6 +245,8 @@ def circulant_parts(phi0: np.ndarray, offset_x: int = 1) -> Decomposition:
     K_b is built by state_prep from the reference column with b = 0."""
     phi0 = np.asarray(phi0, dtype=float)
     n = register_qubits(phi0.size)
+    if phi0.size == 1:
+        raise NoSynthesis("no gate synthesis: a circulant chain needs at least 2 states, got 1")
     if phi0.size != 2 ** n:
         raise NoSynthesis(f"no gate synthesis: column length must be a power of two, "
                           f"got {phi0.size}")
@@ -322,39 +324,7 @@ def synth_crown(n: int) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Partitioned (multi-reference) decompositions
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint subsets covering {0..N-1} with a reference column and basis
-    state per subset."""
-
-    subsets: tuple
-    references: tuple
-    basis: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "subsets", tuple(tuple(sorted(s)) for s in self.subsets))
-        object.__setattr__(self, "references", tuple(self.references))
-        object.__setattr__(self, "basis", tuple(self.basis))
-        if not (len(self.subsets) == len(self.references) == len(self.basis)):
-            raise ValueError("subsets, references and basis must align")
-        seen = set()
-        for sub, r in zip(self.subsets, self.references):
-            if not sub:
-                raise ValueError("empty subset")
-            if seen & set(sub):
-                raise ValueError("subsets must be disjoint")
-            seen |= set(sub)
-            if r not in sub:
-                raise ValueError(f"reference {r} not in its subset {sub}")
-        if seen != set(range(len(seen))) or min(seen) != 0:
-            raise ValueError("subsets must cover {0..N-1} exactly")
-
-    @property
-    def n_states(self) -> int:
-        return sum(len(s) for s in self.subsets)
-
+# Partitioned decompositions
 
 def subset_patterns(subset, n_qubits: int):
     """Register-1 control patterns selecting exactly the given vertices.
@@ -376,57 +346,48 @@ def subset_patterns(subset, n_qubits: int):
             for m in members]
 
 
-def partitioned_parts(p: np.ndarray, partition: Partition, transforms,
-                      preps, check_tol: float = PARTITION_CHECK_TOL) -> Decomposition:
-    """General multi-reference decomposition, checked: the parts of every
-    partitioned family.
+def partitioned_parts(p: np.ndarray, blocks) -> Decomposition:
+    """The checked decomposition behind every partitioned family.
 
-    ``transforms`` maps a subset index x to one circuit T_x on both
-    registers (2n qubits) with T_x |y>|phi_y> = |y>|phi_r> for every member
-    y of subset x, r its reference; a missing entry means identity.  T_x's
-    gates must target register 2, while their controls may sit on either
-    register.  ``preps`` lists one width-n preparation K per subset with
-    K|b_x> = |phi_r>.  Both are checked numerically within ``check_tol``.
-    Since T_x cannot move amplitude between register-1 rows, one ``apply``
-    to the state holding |y>|phi_y> in every member row checks the whole
-    subset.  Subset x becomes the segment whose U_x is T_x followed by
-    K^dag under each of the subset's register-1 patterns
-    (``subset_patterns``).
+    ``blocks`` holds one ``(subset, transform, prep, basis_b)`` record per
+    column subset x, and the subsets cover 0..N-1 exactly once.  The
+    transform T_x is a circuit on both registers whose gates target
+    register 2 (None is the identity); the preparation K acts on n qubits.
+    The one check is the segment invariant T_x|y>|phi_y> = |y>K|b_x> for
+    every member y, within ``PARTITION_CHECK_TOL``: T_x cannot move
+    amplitude between register-1 rows, so one ``apply`` to the state
+    holding every member row checks the whole subset.  Subset x becomes
+    the segment whose U_x is T_x followed by K^dag under each of the
+    subset's register-1 patterns (``subset_patterns``).
     """
     p = np.asarray(p, dtype=float)
     validate(p).raise_if_invalid()
     n_states = p.shape[0]
-    if partition.n_states != n_states:
-        raise ValueError(f"partition covers {partition.n_states} states, matrix has {n_states}")
+    subsets = [sorted(block[0]) for block in blocks]
+    if not all(subsets) or sorted(y for sub in subsets for y in sub) != list(range(n_states)):
+        raise ValueError(f"subsets must cover 0..{n_states - 1} exactly once, none empty")
     n = register_qubits(n_states)
     dim = 2 ** n
     phi = np.zeros((n_states, dim))
     phi[:, :n_states] = np.sqrt(p).T    # row y holds |phi_y>
 
     segments = []
-    for xi, (sub, ref, b) in enumerate(zip(partition.subsets, partition.references,
-                                           partition.basis)):
-        if not 0 <= b < dim:
-            raise ValueError(f"basis state {b} out of range for {n} qubit(s)")
-        t_x = transforms.get(xi, Circuit(2 * n))
+    for xi, (sub, (_, t_x, prep, b)) in enumerate(zip(subsets, blocks)):
+        t_x = Circuit(2 * n) if t_x is None else t_x
         if any(q < n for g in t_x.gates for q in g.qubits):
             raise ValueError(f"transform for subset {xi} has a gate targeting register 1")
-        members = list(sub)
         if t_x.gates:
             state = np.zeros((dim, dim))
-            state[members] = phi[members]
-            moved = apply(t_x, state.reshape(dim * dim)).reshape(dim, dim)[members]
+            state[sub] = phi[sub]
+            moved = apply(t_x, state.reshape(dim * dim)).real.reshape(dim, dim)[sub]
         else:
-            moved = phi[members]
-        errs = np.abs(moved - phi[ref]).max(axis=1)
+            moved = phi[sub]
+        target = apply(prep, basis_state(n, b)).real    # every gate kind is real
+        errs = np.abs(moved - target).max(axis=1)
         worst = int(np.argmax(errs))
-        if errs[worst] > check_tol:
-            raise ValueError(f"transform check failed for (x={xi}, y={sub[worst]}): "
-                             f"deviation {errs[worst]:.3e}")
-        prep = preps[xi]
-        err = np.abs(apply(prep, basis_state(n, b)) - phi[ref]).max()
-        if err > check_tol:
-            raise ValueError(f"preparation check failed for subset {xi}: deviation {err:.3e}")
+        if errs[worst] > PARTITION_CHECK_TOL:
+            raise ValueError(f"check failed for (x={xi}, y={sub[worst]}): T_x|y>|phi_y> "
+                             f"is off |y>K|b_x> by {errs[worst]:.3e}")
         patterns = tuple(subset_patterns(sub, n))
         kb_dag = dagger(on_qubits(prep, range(n, 2 * n), 2 * n))
         segments.append((patterns, compose(t_x, *(with_controls(kb_dag, pat)
@@ -434,24 +395,17 @@ def partitioned_parts(p: np.ndarray, partition: Partition, transforms,
     return Decomposition(n, n_states, tuple(segments))
 
 
-def synth_partitioned(p: np.ndarray, partition: Partition, transforms,
-                      preps, check_tol: float = PARTITION_CHECK_TOL) -> Circuit:
+def synth_partitioned(p: np.ndarray, blocks) -> Circuit:
     """Walk circuit of a checked ``partitioned_parts`` decomposition."""
-    return synth_from_parts(partitioned_parts(p, partition, transforms, preps, check_tol))
+    return synth_from_parts(partitioned_parts(p, blocks))
 
 
 # ---------------------------------------------------------------------------
 # Specific partitioned families
 
-def _two_blocks(size1: int, size2: int, basis=(0, 0)) -> Partition:
-    """Vertices 0..size1-1 and the next size2, each referenced by its first."""
-    return Partition(subsets=[range(size1), range(size1, size1 + size2)],
-                     references=[0, size1], basis=basis)
-
-
 def _block_shift(subset, n: int) -> Circuit:
     """T_x for a subset that is one bit-pattern block whose column y is the
-    reference column rotated by y within the block: register 2's free bits
+    block's first column rotated by y within the block: register 2's free bits
     are shifted down by register 1's, under the block pattern on both
     registers."""
     (pattern,) = subset_patterns(subset, n)
@@ -474,7 +428,8 @@ def bipartite_parts(n1: int, n2: int) -> Decomposition:
     kb1 = Circuit(n, [h(q) for q in range(n - n2, n)])
     kb2 = Circuit(n, [h(q) for q in range(1, n)])
     return partitioned_parts(complete_bipartite(big_n1, big_n2),
-                             _two_blocks(big_n1, big_n2, basis=(big_n1, 0)), {}, [kb1, kb2])
+                             [(range(big_n1), None, kb1, big_n1),
+                              (range(big_n1, big_n1 + big_n2), None, kb2, 0)])
 
 
 def synth_bipartite(n1: int, n2: int) -> Circuit:
@@ -502,7 +457,6 @@ def win_cycles_parts(n1: int, n2: int) -> Decomposition:
         raise ValueError(f"need n1 >= n2 >= 2, got {n1}, {n2}")
     big_n1, big_n2 = 2 ** n1, 2 ** n2
     n = n1 + 1
-    partition = _two_blocks(big_n1, big_n2)
 
     theta1 = math.acos(math.sqrt(2.0 / (2.0 + big_n2)))
     kb1_gates = [ry(0, theta1)]
@@ -514,9 +468,10 @@ def win_cycles_parts(n1: int, n2: int) -> Decomposition:
     kb2_gates += [h(q, [(0, 0)]) for q in range(1, n)]
     kb2_gates += _cycle_pair_gates(list(range(n - n2, n)), [(0, 1)])
 
-    return partitioned_parts(win_cycles(big_n1, big_n2), partition,
-                             {xi: _block_shift(sub, n) for xi, sub in enumerate(partition.subsets)},
-                             [Circuit(n, kb1_gates), Circuit(n, kb2_gates)])
+    return partitioned_parts(win_cycles(big_n1, big_n2), [
+        (sub, _block_shift(sub, n), Circuit(n, kb), 0)
+        for sub, kb in ((range(big_n1), kb1_gates),
+                        (range(big_n1, big_n1 + big_n2), kb2_gates))])
 
 
 def synth_win_cycles(n1: int, n2: int) -> Circuit:
@@ -527,8 +482,8 @@ def wheel_parts(m: int, directed: bool = False, alpha: float = 0.85) -> Decompos
     """The Google matrix of the wheel W_{2^m} (or W'_{2^m}).
 
     The chain has N+1 = 2^m + 1 vertices, so registers carry m+1 qubits and
-    correctness is defined on the valid subspace.  Outer vertices share one
-    reference column reached by restricted cyclic shifts; the hub is its
+    correctness is defined on the valid subspace.  Restricted cyclic
+    shifts take every outer vertex's column onto vertex 0's; the hub is its
     own subset with a one-rotation preparation.
     """
     if m < 2:
@@ -536,14 +491,14 @@ def wheel_parts(m: int, directed: bool = False, alpha: float = 0.85) -> Decompos
     big_n = 2 ** m
     g = google_matrix(wheel_graph(big_n, directed), alpha)
     n = m + 1
-    partition = _two_blocks(big_n, 1)
 
     phi0 = np.zeros(2 ** n)
     phi0[:big_n + 1] = column_state(g, 0)
     theta = math.acos(math.sqrt(1.0 - g[big_n, big_n]))
     kb_hub = Circuit(n, [ry(0, theta)] + [h(q, [(0, 0)]) for q in range(1, n)])
-    return partitioned_parts(g, partition, {0: _block_shift(partition.subsets[0], n)},
-                             [state_prep(phi0, 0), kb_hub])
+    return partitioned_parts(g, [(range(big_n), _block_shift(range(big_n), n),
+                                  state_prep(phi0, 0), 0),
+                                 ([big_n], None, kb_hub, 0)])
 
 
 def synth_wheel(m: int, directed: bool = False, alpha: float = 0.85) -> Circuit:
@@ -558,13 +513,11 @@ def directed8_parts(alpha: float = 0.85) -> Decomposition:
     """
     g = google_matrix(directed_example8(), alpha)
     n = 3
-    partition = Partition(subsets=[range(4), [4, 5], [6, 7]], references=[0, 4, 6],
-                          basis=[0, 0, 0])
     (member5,) = subset_patterns([5], n)
-    transforms = {0: _block_shift(partition.subsets[0], n),
-                  1: shift_circuit(n, 2, "left", controls=member5, width=2 * n, offset=n)}
-    return partitioned_parts(g, partition, transforms,
-                             [state_prep(column_state(g, r), 0) for r in partition.references])
+    transforms = (_block_shift(range(4), n),
+                  shift_circuit(n, 2, "left", controls=member5, width=2 * n, offset=n), None)
+    return partitioned_parts(g, [(sub, t_x, state_prep(column_state(g, sub[0]), 0), 0)
+                                 for sub, t_x in zip(([0, 1, 2, 3], [4, 5], [6, 7]), transforms)])
 
 
 def synth_directed8(alpha: float = 0.85) -> Circuit:

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,41 @@ class TestSpecFile:
         path.write_text(json.dumps({"type": kind, "params": params}))
         code, out, err = run_cli(capsys, "synth", "--spec", str(path))
         assert code == 2 and out == "" and f"param '{name}' must be" in err
+
+
+    @pytest.mark.parametrize("column", [[], [-0.5, 1.5], [0.7, 0.7]],
+                             ids=["empty", "negative", "sum-off-one"])
+    def test_circulant_column_that_is_not_a_distribution_exits_two(self, capsys, tmp_path,
+                                                                   column):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"type": "circulant", "params": {"column": column}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "synth", "--spec", str(path))
+        assert code == 2 and out == "" and "circulant column" in err
+
+    def test_single_state_circulant_names_its_size(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"type": "circulant", "params": {"column": [1]}}))
+        code, _, err = run_cli(capsys, "synth", "--spec", str(path))
+        assert code == 2 and "at least 2 states, got 1" in err and "power of two" not in err
+
+    def test_label_comes_from_the_typed_params(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "graph.json").write_text(json.dumps({"type": "cycle", "params": {"n": 8.0}}))
+        for argv in (["--spec", "graph.json"], ["--graph", "cycle", "--n", "8"]):
+            code, out, _ = run_cli(capsys, "pagerank", *argv, "--backend", "oracle",
+                                   "--steps", "2")
+            assert code == 0 and out.startswith("wrote pagerank_cycle-8.csv;")
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "graph.json", "pagerank_cycle-8.csv", "pagerank_cycle-8_summary.csv"]
+
+    @pytest.mark.parametrize("spec, label", [
+        ({"type": "wheel", "params": {"n": 8}}, "wheel-8"),
+        ({"type": "custom", "params": {"matrix": [[0.5, 0.5], [0.5, 0.5]]}}, "custom"),
+    ], ids=["wheel-default-alpha", "custom-matrix-in-params"])
+    def test_label_names_only_the_scalar_params_given(self, spec, label):
+        assert cli.build_walk(spec)[0] == label
 
 
 class TestSynthCommand:

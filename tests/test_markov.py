@@ -259,6 +259,20 @@ class TestCirculant:
         for i in range(4):
             np.testing.assert_array_equal(p[:, i], np.roll(col, 2 * i))
 
+    @pytest.mark.parametrize("column, message", [
+        ([], "column is empty"),
+        ([-0.5, 1.5], "column entries must be nonnegative, got -0.5"),
+        ([np.nan, 1.0], "column entries must be nonnegative, got nan"),
+        ([0.7, 0.7], "column sums to 1.4, not 1"),
+        ([0.5, 0.5 + 1e-9], "column sums to"),
+    ], ids=["empty", "negative", "nan", "sum-1.4", "sum-just-off"])
+    def test_column_that_is_not_a_distribution_is_named(self, column, message):
+        with pytest.raises(ValueError, match=message):
+            markov.circulant(np.array(column), 1)
+
+    def test_single_state_column_is_the_trivial_chain(self):
+        np.testing.assert_array_equal(markov.circulant(np.array([1.0])), [[1.0]])
+
 
 class TestValidate:
     def test_cycle_passes(self):

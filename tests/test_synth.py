@@ -8,7 +8,7 @@ from szwalk.gates import (Circuit, Gate, compose, dagger, gate_count, on_qubits,
                           with_controls, x)
 from szwalk.simulator import apply, basis_state, unitary_of
 from szwalk.markov import NoSynthesis
-from szwalk.synth import (Decomposition, Partition, bipartite_parts,
+from szwalk.synth import (Decomposition, bipartite_parts,
                           circulant_parts, complete_parts, controlled_shift_transform,
                           cycle_parts, directed8_parts, kb_complete,
                           kb_cycle, shift_circuit, state_prep, synth_bipartite,
@@ -346,8 +346,7 @@ class TestPartitioned:
         col = rng.random(8)
         col /= col.sum()
         p = np.tile(col[:, None], 8)
-        partition = Partition(subsets=[range(8)], references=[0], basis=[0])
-        c = synth_partitioned(p, partition, {}, [state_prep(np.sqrt(col), 0)])
+        c = synth_partitioned(p, [(range(8), None, state_prep(np.sqrt(col), 0), 0)])
         assert verify(c, p).passed
 
     def test_reproduces_bipartite(self):
@@ -356,18 +355,16 @@ class TestPartitioned:
         phi1[:6] = oracle.column_state(p, 0)
         phi2 = np.zeros(8)
         phi2[:6] = oracle.column_state(p, 4)
-        partition = Partition(subsets=[range(4), range(4, 6)], references=[0, 4],
-                              basis=[0, 0])
-        c = synth_partitioned(p, partition, {},
-                              [state_prep(phi1, 0), state_prep(phi2, 0)])
+        c = synth_partitioned(p, [(range(4), None, state_prep(phi1, 0), 0),
+                                  (range(4, 6), None, state_prep(phi2, 0), 0)])
         assert verify(c, p).passed
         # bipartite subsets are bitmask shaped, so segment controls stay compact
         assert max(len(g.controls) for g in c.gates) <= 4
 
     @staticmethod
     def wheel8_inputs(amounts):
-        """W_8 partition, per-member shift transform (member y of the outer
-        subset shifted by ``amounts[y]``) and preparations."""
+        """W_8 and its records: the outer subset with a per-member shift
+        transform (member y shifted by ``amounts[y]``), then the hub."""
         g = markov.google_matrix(markov.wheel_graph(8), 0.85)
         t0 = compose(*(member_transform(
             shift_circuit(3, amounts[y], "left", controls=[(0, 0)], width=4, offset=1), y, 4)
@@ -376,8 +373,8 @@ class TestPartitioned:
         phi0[:9] = oracle.column_state(g, 0)
         phi_hub = np.zeros(16)
         phi_hub[:9] = oracle.column_state(g, 8)
-        partition = Partition(subsets=[range(8), [8]], references=[0, 8], basis=[0, 0])
-        return g, partition, {0: t0}, [state_prep(phi0, 0), state_prep(phi_hub, 0)]
+        return g, [(range(8), t0, state_prep(phi0, 0), 0),
+                   ([8], None, state_prep(phi_hub, 0), 0)]
 
     def test_reproduces_wheel_unitary(self):
         c = synth_partitioned(*self.wheel8_inputs(list(range(8))))
@@ -386,45 +383,50 @@ class TestPartitioned:
     def test_wrong_shift_for_one_member_names_it(self):
         amounts = list(range(8))
         amounts[5] = 3
-        with pytest.raises(ValueError, match=r"transform check failed for \(x=0, y=5\)"):
+        with pytest.raises(ValueError, match=r"check failed for \(x=0, y=5\)"):
             synth_partitioned(*self.wheel8_inputs(amounts))
 
-    def test_transform_check_failure_reports_pair(self):
+    @staticmethod
+    def k22_records(prep0=None, t0=None):
+        """K_{2,2} split into its two parts, each prepared from its first column."""
         p = markov.complete_bipartite(2, 2)
-        partition = Partition(subsets=[range(2), range(2, 4)], references=[0, 2],
-                              basis=[0, 0])
+        if prep0 is None:
+            prep0 = state_prep(oracle.column_state(p, 0), 0)
+        return p, [(range(2), t0, prep0, 0),
+                   (range(2, 4), None, state_prep(oracle.column_state(p, 2), 0), 0)]
+
+    def test_transform_check_failure_reports_pair(self):
         # columns are equal; shifting member 1 breaks it
-        bad = {0: member_transform(shift_circuit(2, 1, "left"), 1, 2)}
-        preps = [state_prep(oracle.column_state(p, 0), 0),
-                 state_prep(oracle.column_state(p, 2), 0)]
+        bad = member_transform(shift_circuit(2, 1, "left"), 1, 2)
         with pytest.raises(ValueError, match=r"x=0, y=1"):
-            synth_partitioned(p, partition, bad, preps)
+            synth_partitioned(*self.k22_records(t0=bad))
 
     def test_transform_targeting_register_one_rejected(self):
-        p = markov.complete_bipartite(2, 2)
-        partition = Partition(subsets=[range(2), range(2, 4)], references=[0, 2],
-                              basis=[0, 0])
-        preps = [state_prep(oracle.column_state(p, 0), 0),
-                 state_prep(oracle.column_state(p, 2), 0)]
         # X on qubit 1 swaps members 0 and 1, whose columns are equal, so
         # only the register check can catch it
         with pytest.raises(ValueError, match="register 1"):
-            synth_partitioned(p, partition, {0: Circuit(4, [x(1)])}, preps)
+            synth_partitioned(*self.k22_records(t0=Circuit(4, [x(1)])))
 
     def test_prep_check_failure(self):
         p = markov.complete_bipartite(2, 2)
-        partition = Partition(subsets=[range(2), range(2, 4)], references=[0, 2],
-                              basis=[0, 0])
-        preps = [state_prep(oracle.column_state(p, 2), 0),  # wrong reference
-                 state_prep(oracle.column_state(p, 2), 0)]
-        with pytest.raises(ValueError, match="preparation check failed"):
-            synth_partitioned(p, partition, {}, preps)
+        wrong = state_prep(oracle.column_state(p, 2), 0)    # prepares the other part's column
+        with pytest.raises(ValueError, match=r"check failed for \(x=0, y=0\)"):
+            synth_partitioned(*self.k22_records(prep0=wrong))
+
+    def test_wrong_basis_state_names_the_pair(self):
+        p, records = self.k22_records()
+        records[1] = (*records[1][:3], 1)
+        with pytest.raises(ValueError, match=r"check failed for \(x=1, y=2\)"):
+            synth_partitioned(p, records)
 
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            Partition(subsets=[[0, 1], [1, 2]], references=[0, 1], basis=[0, 0])
-        with pytest.raises(ValueError):
-            Partition(subsets=[[0, 1]], references=[2], basis=[0])
+        p, ((_, _, kb0, _), (_, _, kb1, _)) = self.k22_records()
+        for subsets in ([[0, 1], [1, 2, 3]],       # overlapping
+                        [[0, 1], [2]],             # vertex 3 missing
+                        [[0, 1], [2, 3, 4]],       # member out of range
+                        [[0, 1, 2, 3], []]):       # empty subset
+            with pytest.raises(ValueError, match="cover 0..3 exactly once"):
+                synth_partitioned(p, [(subsets[0], None, kb0, 0), (subsets[1], None, kb1, 0)])
 
 
 class TestVerify:
@@ -483,22 +485,20 @@ class TestPerMemberFallback:
         p = np.zeros((4, 4))
         p[:, 0] = p[:, 3] = [0.25, 0.25, 0.25, 0.25]
         p[:, 1] = p[:, 2] = [0.5, 0.0, 0.0, 0.5]
-        partition = Partition(subsets=[[0, 3], [1, 2]], references=[0, 1], basis=[0, 0])
-        preps = [state_prep(oracle.column_state(p, 0), 0),
-                 state_prep(oracle.column_state(p, 1), 0)]
-        return p, partition, {}, preps
+        return p, [([0, 3], None, state_prep(oracle.column_state(p, 0), 0), 0),
+                   ([1, 2], None, state_prep(oracle.column_state(p, 1), 0), 0)]
 
     def test_non_bitmask_subsets(self):
-        p, *rest = self.inputs()
-        c = synth_partitioned(p, *rest)
+        p, records = self.inputs()
+        c = synth_partitioned(p, records)
         flips = [g for g in c.gates if g.kind in ("Z", "ZP")]
         assert len(flips) == 4  # one flip per member of each subset
         assert verify(c, p).passed
 
     @pytest.mark.parametrize("first", [True, False], ids=["fallback-x-k2", "k2-x-fallback"])
     def test_tensor_products_every_pattern_pair(self, first):
-        p, *rest = self.inputs()
-        fallback, k2 = partitioned_parts(p, *rest), complete_parts(1)
+        p, records = self.inputs()
+        fallback, k2 = partitioned_parts(p, records), complete_parts(1)
         factors = (fallback, k2) if first else (k2, fallback)
         chains = (p, markov.complete_graph(2)) if first else (markov.complete_graph(2), p)
         report = verify(synth_tensor(*factors), markov.tensor(*chains), tolerance=1e-12)
