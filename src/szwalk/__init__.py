@@ -10,9 +10,9 @@ driver (``pagerank``) and a CLI (``cli``).
 from . import cli, gates, markov, oracle, pagerank, simulator, synth
 from .gates import (Circuit, Gate, compose, dagger, from_text, gate_count,
                     on_qubits, to_openqasm, to_text, with_controls)
-from .markov import (circulant, complete_bipartite, complete_graph,
-                     crown_graph, cycle_graph, directed_example8, from_spec,
-                     google_matrix, tensor, validate, wheel_graph, win_cycles)
+from .cli import from_spec
+from .markov import (circulant, complete_bipartite, complete_graph, crown_graph, cycle_graph,
+                     directed_example8, google_matrix, tensor, validate, wheel_graph, win_cycles)
 from .oracle import WalkOracle, column_state, initial_superposition, walk_operator
 from .pagerank import PagerankSeries, compare_hub, export, run
 from .simulator import apply, unitary_of

@@ -3,20 +3,155 @@
 Exit codes: 0 success, 1 verification failure (a failed verify, or
 PageRank leakage out of the valid vertices), 2 invalid input, 3 I/O error.
 Output files are deterministic for a fixed invocation.
+``GRAPHS`` maps each JSON spec tag onto its ``markov`` matrix builder and
+its ``synth`` Decomposition builder, which ``_synthesize`` assembles.
 """
 
 import argparse
 import json
+import reprlib
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import markov, oracle, pagerank, synth
 from .gates import gate_count, to_text
 
+# JSON graph spec ingestion.  Schema:
+#   {"type": <tag>, "params": {...}, "matrix": [[col0...], [col1...], ...]}
+# where <tag> is a key of GRAPHS and "params" holds that entry's parameters
+# (those with a default may be left out).  Only "custom" reads "matrix",
+# kept beside the params: a row of columns, matrix[j][i] = P(i, j).
+
+REQUIRED = object()   # schema marker for a parameter without a default
+# What each spec parameter must be: its nesting depth of numbers (0 for a
+# scalar) and its description.
+_PARAM_TYPES = {"n": (0, "an integer"), "n1": (0, "an integer"), "n2": (0, "an integer"),
+                "offset_x": (0, "an integer"), "alpha": (0, "a number"),
+                "column": (1, "an array of numbers"),
+                "matrix": (2, "an array of arrays of numbers")}
+
+
+def _typed(kind: str, name: str, value):
+    """Spec parameter ``name`` as its builders take it: an int for sizes
+    and offsets (8.0 is 8), a float for alpha, a float array for column
+    and matrix.  Any other JSON type raises ValueError naming it."""
+    depth, what = _PARAM_TYPES[name]
+    leaves = np.asarray(value, dtype=object)
+    if leaves.ndim == depth and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in leaves.flat):
+        if depth:
+            return leaves.astype(float)
+        if what == "a number":
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    raise ValueError(f"{kind} spec param {name!r} must be {what}, got {reprlib.repr(value)}")
+
+
+class Graph(NamedTuple):
+    """One spec tag: its parameters, each with a default or REQUIRED; the
+    transition-matrix builder ``matrix(params)``; and ``parts(params)``,
+    the chain's ``Decomposition``, which raises NoSynthesis outside the
+    synthesizable sizes (None for a tag with no gate synthesis)."""
+
+    params: dict
+    matrix: Callable
+    parts: Callable | None
+
+
+def _log2_exact(n: int, what: str) -> int:
+    if n < 1 or n & (n - 1):
+        raise synth.NoSynthesis(f"no gate synthesis: {what} must be a power of two, got {n}")
+    return n.bit_length() - 1
+
+
+def _custom(columns) -> np.ndarray:
+    p = columns.T
+    markov.validate(p).raise_if_invalid()
+    return p
+
+
+def _wheel(directed: bool) -> Graph:
+    return Graph({"n": REQUIRED, "alpha": 0.85},
+                 lambda q: markov.google_matrix(markov.wheel_graph(q["n"], directed), q["alpha"]),
+                 lambda q: synth.wheel_parts(_log2_exact(q["n"], "n"), directed, q["alpha"]))
+
+
+GRAPHS = {
+    "cycle": Graph({"n": REQUIRED}, lambda q: markov.cycle_graph(q["n"]),
+                   lambda q: synth.cycle_parts(_log2_exact(q["n"], "n"))),
+    "complete": Graph({"n": REQUIRED}, lambda q: markov.complete_graph(q["n"]),
+                      lambda q: synth.complete_parts(_log2_exact(q["n"], "n"))),
+    "bipartite": Graph({"n1": REQUIRED, "n2": REQUIRED},
+                       lambda q: markov.complete_bipartite(q["n1"], q["n2"]),
+                       lambda q: synth.bipartite_parts(_log2_exact(q["n1"], "n1"),
+                                                       _log2_exact(q["n2"], "n2"))),
+    "crown": Graph({"n": REQUIRED}, lambda q: markov.crown_graph(q["n"]),
+                   lambda q: synth.tensor_parts(synth.complete_parts(_log2_exact(q["n"], "n")),
+                                                synth.complete_parts(1))),
+    "wheel": _wheel(False),
+    "wheel_directed": _wheel(True),
+    "win": Graph({"n1": REQUIRED, "n2": REQUIRED},
+                 lambda q: markov.win_cycles(q["n1"], q["n2"]),
+                 lambda q: synth.win_cycles_parts(_log2_exact(q["n1"], "n1"),
+                                                  _log2_exact(q["n2"], "n2"))),
+    "k2": Graph({}, lambda q: markov.complete_graph(2), lambda q: synth.complete_parts(1)),
+    "directed8": Graph({"alpha": 0.85},
+                       lambda q: markov.google_matrix(markov.directed_example8(), q["alpha"]),
+                       lambda q: synth.directed8_parts(q["alpha"])),
+    "circulant": Graph({"column": REQUIRED, "offset_x": 1},
+                       lambda q: markov.circulant(q["column"], q["offset_x"]),
+                       lambda q: synth.circulant_parts(np.sqrt(q["column"]), q["offset_x"])),
+    "custom": Graph({"matrix": REQUIRED}, lambda q: _custom(q["matrix"]), None),
+}
+
+
+def resolve(spec: dict) -> tuple[Graph, dict]:
+    """A spec's GRAPHS entry and its parameters with the defaults filled in.
+
+    Raises ValueError for a spec or ``params`` that is not a JSON object,
+    an unknown type, a parameter the type does not take, a missing one or
+    one of the wrong JSON type (see ``_typed``).
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"graph spec must be a JSON object, got {type(spec).__name__}")
+    kind = spec.get("type")
+    graph = GRAPHS.get(kind) if isinstance(kind, str) else None
+    if graph is None:
+        raise ValueError(f"unknown graph spec type {kind!r}")
+    given = spec.get("params", {})
+    if not isinstance(given, dict):
+        raise ValueError(f"{kind} spec params must be a JSON object, got {type(given).__name__}")
+    if "matrix" in spec:
+        given = {**given, "matrix": spec["matrix"]}
+    unknown = [repr(name) for name in given if name not in graph.params]
+    if unknown:
+        raise ValueError(f"{kind} spec takes no {', '.join(unknown)}")
+    params = {**graph.params, **given}
+    missing = [repr(name) for name, value in params.items() if value is REQUIRED]
+    if missing:
+        raise ValueError(f"{kind} spec needs {', '.join(missing)}")
+    return graph, {name: _typed(kind, name, value) for name, value in params.items()}
+
+
+def from_spec(spec: dict) -> np.ndarray:
+    """Transition matrix of a JSON graph spec."""
+    graph, params = resolve(spec)
+    return graph.matrix(params)
+
+
+def _synthesize(graph: Graph, params: dict):
+    if graph.parts is None:
+        raise synth.NoSynthesis("no gate synthesis for 'custom' specs; "
+                                "only the oracle backend applies")
+    return synth.synth_from_parts(graph.parts(params))
+
+
 # Spec parameters with a flag of the same name; --m gives n as 2**m.
 PARAM_FLAGS = ("n", "n1", "n2", "alpha")
-GRAPH_CHOICES = tuple(kind for kind, graph in markov.GRAPHS.items()
+GRAPH_CHOICES = tuple(kind for kind, graph in GRAPHS.items()
                       if set(graph.params) <= set(PARAM_FLAGS))
 
 
@@ -30,19 +165,19 @@ def build_walk(spec: dict):
     label joins the type and the typed scalar params the spec gave, so
     ``{"n": 8.0}`` and ``--n 8`` give the same one; a matrix stays out.
     """
-    graph, params = markov.resolve(spec)
+    graph, params = resolve(spec)
     if spec["type"] == "circulant":
         label = f"circulant-{len(params['column'])}-x{int(params['offset_x'])}"
     else:
         label = "-".join([spec["type"], *(str(params[k]) for k in spec.get("params", {})
                                           if np.ndim(params[k]) == 0)])
-    return label, graph.matrix(params), lambda: graph.synth(synth, params)
+    return label, graph.matrix(params), lambda: _synthesize(graph, params)
 
 
 def _circuit_or_oracle(p, synthesize):
     try:
         return synthesize()
-    except markov.NoSynthesis:
+    except synth.NoSynthesis:
         return oracle.walk_operator(p)
 
 
@@ -59,9 +194,9 @@ def _spec_from_args(args) -> dict:
     kind = args.graph
     if flags.pop("directed", False):
         kind = f"{args.graph}_directed"
-        if kind not in markov.GRAPHS:
+        if kind not in GRAPHS:
             raise ValueError(f"--graph {args.graph} takes no --directed")
-    schema = markov.GRAPHS[kind].params
+    schema = GRAPHS[kind].params
     for flag in flags:
         if ("n" if flag == "m" else flag) not in schema:
             raise ValueError(f"--graph {args.graph} takes no --{flag}")
@@ -69,7 +204,7 @@ def _spec_from_args(args) -> dict:
         flags["n"] = 2 ** flags.pop("m")
     # defaults filled in, so the default output label names every parameter
     params = {**schema, **flags}
-    return {"type": kind, "params": {k: v for k, v in params.items() if v is not markov.REQUIRED}}
+    return {"type": kind, "params": {k: v for k, v in params.items() if v is not REQUIRED}}
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -130,7 +265,7 @@ def cmd_gatecount(args) -> int:
     lines = [pagerank.CSV_VERSION_HEADER, "graph,n_qubits,n_vertices,total,two_qubit_estimate"]
     for cls in classes:
         for n in range(3, args.n_max + 1):
-            total, est = gate_count(markov.GRAPHS[cls].synth(synth, {"n": 2 ** n}))
+            total, est = gate_count(_synthesize(*resolve({"type": cls, "params": {"n": 2 ** n}})))
             lines.append(f"{cls},{n},{2 ** n},{total},{est}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0

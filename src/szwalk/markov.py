@@ -4,11 +4,10 @@ Matrices are dense float64 arrays with column-major semantics fixed
 project-wide: entry ``(i, j)`` is the probability of moving from vertex j
 to vertex i, and every column sums to 1.  Connectivity matrices are 0/1
 arrays with the same orientation (``C[i, j] = 1`` for a link j -> i).
+``validate`` checks them; ``cli.GRAPHS`` maps JSON spec tags onto the builders.
 """
 
-import reprlib
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -191,134 +190,3 @@ def validate(p: np.ndarray, tol: float = COLUMN_SUM_TOL) -> ValidationReport:
     min_entry = float(p.min())
     return ValidationReport(n=p.shape[0], max_column_deviation=dev,
                             min_entry=min_entry, ok=dev <= tol and min_entry >= 0.0)
-
-
-# JSON graph spec ingestion.  Schema:
-#   {"type": <tag>, "params": {...}, "matrix": [[col0...], [col1...], ...]}
-# where <tag> is a key of GRAPHS and "params" holds that entry's parameters
-# (those with a default may be left out).  Only "custom" reads "matrix",
-# kept beside the params: a row of columns, matrix[j][i] = P(i, j).
-
-class NoSynthesis(ValueError):
-    """The spec names a valid chain that has no gate synthesis."""
-
-
-def _log2_exact(n, what: str) -> int:
-    if not _is_power_of_two(int(n)):
-        raise NoSynthesis(f"no gate synthesis: {what} must be a power of two, got {n}")
-    return int(n).bit_length() - 1
-
-
-def _custom(columns) -> np.ndarray:
-    p = columns.T
-    validate(p).raise_if_invalid()
-    return p
-
-
-def _synth_custom(s, q):
-    raise NoSynthesis("no gate synthesis for 'custom' specs; only the oracle backend applies")
-
-
-REQUIRED = object()   # schema marker for a parameter without a default
-# What each spec parameter must be: its nesting depth of numbers (0 for a
-# scalar) and its description.
-_PARAM_TYPES = {"n": (0, "an integer"), "n1": (0, "an integer"), "n2": (0, "an integer"),
-                "offset_x": (0, "an integer"), "alpha": (0, "a number"),
-                "column": (1, "an array of numbers"),
-                "matrix": (2, "an array of arrays of numbers")}
-
-
-def _typed(kind: str, name: str, value):
-    """Spec parameter ``name`` as its builders take it: an int for sizes
-    and offsets (8.0 is 8), a float for alpha, a float array for column
-    and matrix.  Any other JSON type raises ValueError naming it."""
-    depth, what = _PARAM_TYPES[name]
-    leaves = np.asarray(value, dtype=object)
-    if leaves.ndim == depth and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in leaves.flat):
-        if depth:
-            return leaves.astype(float)
-        if what == "a number":
-            return float(value)
-        if isinstance(value, int) or value.is_integer():
-            return int(value)
-    raise ValueError(f"{kind} spec param {name!r} must be {what}, got {reprlib.repr(value)}")
-
-
-class Graph(NamedTuple):
-    """One spec tag: its parameters, each with a default or REQUIRED; the
-    transition-matrix builder ``matrix(params)``; the synthesizer
-    ``synth(s, params)``, where ``s`` is the ``szwalk.synth`` module, which
-    raises NoSynthesis outside the synthesizable sizes."""
-
-    params: dict
-    matrix: Callable
-    synth: Callable
-
-
-def _wheel(directed: bool) -> Graph:
-    return Graph({"n": REQUIRED, "alpha": 0.85},
-                 lambda q: google_matrix(wheel_graph(q["n"], directed), q["alpha"]),
-                 lambda s, q: s.synth_wheel(_log2_exact(q["n"], "n"), directed, q["alpha"]))
-
-
-GRAPHS = {
-    "cycle": Graph({"n": REQUIRED}, lambda q: cycle_graph(q["n"]),
-                   lambda s, q: s.synth_cycle(_log2_exact(q["n"], "n"))),
-    "complete": Graph({"n": REQUIRED}, lambda q: complete_graph(q["n"]),
-                      lambda s, q: s.synth_complete(_log2_exact(q["n"], "n"))),
-    "bipartite": Graph({"n1": REQUIRED, "n2": REQUIRED},
-                       lambda q: complete_bipartite(q["n1"], q["n2"]),
-                       lambda s, q: s.synth_bipartite(_log2_exact(q["n1"], "n1"),
-                                                      _log2_exact(q["n2"], "n2"))),
-    "crown": Graph({"n": REQUIRED}, lambda q: crown_graph(q["n"]),
-                   lambda s, q: s.synth_crown(_log2_exact(q["n"], "n"))),
-    "wheel": _wheel(False),
-    "wheel_directed": _wheel(True),
-    "win": Graph({"n1": REQUIRED, "n2": REQUIRED},
-                 lambda q: win_cycles(q["n1"], q["n2"]),
-                 lambda s, q: s.synth_win_cycles(_log2_exact(q["n1"], "n1"),
-                                                    _log2_exact(q["n2"], "n2"))),
-    "k2": Graph({}, lambda q: complete_graph(2), lambda s, q: s.synth_k2()),
-    "directed8": Graph({"alpha": 0.85},
-                       lambda q: google_matrix(directed_example8(), q["alpha"]),
-                       lambda s, q: s.synth_directed8(q["alpha"])),
-    "circulant": Graph({"column": REQUIRED, "offset_x": 1},
-                       lambda q: circulant(q["column"], q["offset_x"]),
-                       lambda s, q: s.synth_circulant(np.sqrt(q["column"]), q["offset_x"])),
-    "custom": Graph({"matrix": REQUIRED}, lambda q: _custom(q["matrix"]), _synth_custom),
-}
-
-
-def resolve(spec: dict) -> tuple[Graph, dict]:
-    """A spec's GRAPHS entry and its parameters with the defaults filled in.
-
-    Raises ValueError for a spec or ``params`` that is not a JSON object,
-    an unknown type, a parameter the type does not take, a missing one or
-    one of the wrong JSON type (see ``_typed``).
-    """
-    if not isinstance(spec, dict):
-        raise ValueError(f"graph spec must be a JSON object, got {type(spec).__name__}")
-    kind = spec.get("type")
-    graph = GRAPHS.get(kind) if isinstance(kind, str) else None
-    if graph is None:
-        raise ValueError(f"unknown graph spec type {kind!r}")
-    given = spec.get("params", {})
-    if not isinstance(given, dict):
-        raise ValueError(f"{kind} spec params must be a JSON object, got {type(given).__name__}")
-    if "matrix" in spec:
-        given = {**given, "matrix": spec["matrix"]}
-    unknown = [repr(name) for name in given if name not in graph.params]
-    if unknown:
-        raise ValueError(f"{kind} spec takes no {', '.join(unknown)}")
-    params = {**graph.params, **given}
-    missing = [repr(name) for name, value in params.items() if value is REQUIRED]
-    if missing:
-        raise ValueError(f"{kind} spec needs {', '.join(missing)}")
-    return graph, {name: _typed(kind, name, value) for name, value in params.items()}
-
-
-def from_spec(spec: dict) -> np.ndarray:
-    """Transition matrix of a JSON graph spec."""
-    graph, params = resolve(spec)
-    return graph.matrix(params)

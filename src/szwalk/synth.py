@@ -23,6 +23,7 @@ out wrong whenever the number of segments is even.
 
 Correctness of each synthesizer is defined by ``verify``: exact agreement
 with the dense oracle on the valid subspace, and no leakage out of it.
+A valid chain outside a builder's domain raises ``NoSynthesis``; the CLI falls back to the oracle.
 """
 
 import math
@@ -32,13 +33,17 @@ import numpy as np
 
 from .gates import (Circuit, compose, dagger, gphase, h, on_qubits, ry, swap,
                     with_controls, x, z, zp)
-from .markov import (NoSynthesis, complete_bipartite, directed_example8, google_matrix,
-                     validate, wheel_graph, win_cycles)
+from .markov import (complete_bipartite, directed_example8, google_matrix, validate,
+                     wheel_graph, win_cycles)
 from .oracle import circuit_registers, column_state, register_qubits, walk_operator
 from .simulator import apply, basis_state, unitary_of
 
 STATE_PREP_NORM_TOL = 1e-10
 PARTITION_CHECK_TOL = 1e-10
+
+
+class NoSynthesis(ValueError):
+    """The chain is valid but has no gate synthesis."""
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,8 @@ def partitioned_parts(p: np.ndarray, blocks) -> Decomposition:
     ``blocks`` holds one ``(subset, transform, prep, basis_b)`` record per
     column subset x, and the subsets cover 0..N-1 exactly once.  The
     transform T_x is a circuit on both registers whose gates target
-    register 2 (None is the identity); the preparation K acts on n qubits.
+    register 2 (None is the identity); the preparation K acts on n qubits
+    and basis_b is one of their 2^n states, or a ValueError names the subset.
     The one check is the segment invariant T_x|y>|phi_y> = |y>K|b_x> for
     every member y, within ``PARTITION_CHECK_TOL``: T_x cannot move
     amplitude between register-1 rows, so one ``apply`` to the state
@@ -374,6 +380,10 @@ def partitioned_parts(p: np.ndarray, blocks) -> Decomposition:
     segments = []
     for xi, (sub, (_, t_x, prep, b)) in enumerate(zip(subsets, blocks)):
         t_x = Circuit(2 * n) if t_x is None else t_x
+        if (t_x.width, prep.width) != (2 * n, n) or not 0 <= b < dim:
+            raise ValueError(f"subset {xi} needs a {2 * n}-qubit transform, a {n}-qubit "
+                             f"preparation and a basis state in 0..{dim - 1}, got "
+                             f"{t_x.width}, {prep.width} and {b}")
         if any(q < n for g in t_x.gates for q in g.qubits):
             raise ValueError(f"transform for subset {xi} has a gate targeting register 1")
         if t_x.gates:

@@ -196,7 +196,7 @@ class TestPagerankCommand:
     def test_oracle_backend_synthesizes_nothing(self, capsys, tmp_path, monkeypatch):
         def no_synthesis(*args, **kwargs):
             raise AssertionError("synthesized a circuit the oracle backend never runs")
-        monkeypatch.setattr(cli.synth, "synth_cycle", no_synthesis)
+        monkeypatch.setattr(cli.synth, "synth_from_parts", no_synthesis)
         code, _, _ = run_cli(capsys, "pagerank", "--graph", "cycle", "--n", "8",
                              "--steps", "3", "--backend", "oracle",
                              "--out", str(tmp_path / "c8.csv"))
@@ -204,11 +204,46 @@ class TestPagerankCommand:
 
     def test_leakage_exits_one(self, capsys, tmp_path, monkeypatch):
         # a "wheel" circuit that drives register 2 onto invalid vertices
-        monkeypatch.setattr(cli.synth, "synth_wheel",
-                            lambda *a, **k: shift_circuit(4, 1, "right", width=8, offset=4))
+        monkeypatch.setattr(cli.synth, "synth_from_parts",
+                            lambda parts: shift_circuit(4, 1, "right", width=8, offset=4))
         code, _, err = run_cli(capsys, "pagerank", "--graph", "wheel", "--n", "8",
                                "--steps", "3", "--out", str(tmp_path / "w8.csv"))
         assert code == 1 and "invalid vertices" in err
+
+
+class TestCustomSpec:
+    # a 3-state chain as a row of columns, matrix[j][i] = P(i, j)
+    COLUMNS = [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5]]
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps({"type": "custom", "matrix": self.COLUMNS}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["synth", "verify"])
+    def test_circuit_commands_exit_two(self, capsys, spec, command):
+        code, out, err = run_cli(capsys, command, "--spec", spec)
+        assert code == 2 and out == "" and "no gate synthesis for 'custom'" in err
+
+    def test_pagerank_falls_back_to_the_oracle(self, capsys, tmp_path, spec):
+        outs = [tmp_path / "circuit.csv", tmp_path / "oracle.csv"]
+        for out, backend in zip(outs, ["circuit", "oracle"]):
+            code, _, _ = run_cli(capsys, "pagerank", "--spec", spec, "--steps", "5",
+                                 "--backend", backend, "--out", str(out))
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert (tmp_path / "circuit_summary.csv").read_bytes() == \
+            (tmp_path / "oracle_summary.csv").read_bytes()
+
+    def test_simulate_falls_back_to_the_oracle(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "simulate", "--spec", spec, "--steps", "2")
+        assert code == 0
+        values = np.array([[float(v) for v in ln.split(",")[1:]] for ln in out.splitlines()[2:]])
+        p = np.array(self.COLUMNS).T
+        u = oracle.walk_operator(p).matrix
+        np.testing.assert_allclose(values[:, 0] + 1j * values[:, 1],
+                                   u @ u @ oracle.initial_superposition(p), atol=1e-12)
 
 
 class TestSimulateCommand:
@@ -341,10 +376,10 @@ def test_graph_table_matches_readme_and_choices():
     documented = {}
     for kind, params in re.findall(r"(\w+)\(([^)]*)\)", block):
         documented[kind] = [p.strip() for p in params.split(",") if p.strip()]
-    table = {kind: [name if default is markov.REQUIRED else f"{name}={default}"
+    table = {kind: [name if default is cli.REQUIRED else f"{name}={default}"
                     for name, default in graph.params.items()]
-             for kind, graph in markov.GRAPHS.items()}
+             for kind, graph in cli.GRAPHS.items()}
     assert documented == table
-    assert list(documented) == list(markov.GRAPHS)
+    assert list(documented) == list(cli.GRAPHS)
     # every type but the two that need a JSON spec is a --graph choice
-    assert cli.GRAPH_CHOICES == tuple(k for k in markov.GRAPHS if k not in ("circulant", "custom"))
+    assert cli.GRAPH_CHOICES == tuple(k for k in cli.GRAPHS if k not in ("circulant", "custom"))

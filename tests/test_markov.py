@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from szwalk import markov
+from szwalk import cli, markov
 
 
 def eq3_normalize(adjacency):
@@ -323,36 +323,36 @@ class TestFromSpec:
          lambda: markov.circulant(np.array([0.0, 0.5, 0.25, 0.25]), 3)),
     ])
     def test_known_types(self, spec, builder):
-        np.testing.assert_allclose(markov.from_spec(spec), builder(), atol=1e-15)
+        np.testing.assert_allclose(cli.from_spec(spec), builder(), atol=1e-15)
 
     def test_custom_row_of_columns(self):
         p = markov.cycle_graph(4)
         spec = json.loads(json.dumps({"type": "custom",
                                       "matrix": [list(p[:, j]) for j in range(4)]}))
-        np.testing.assert_allclose(markov.from_spec(spec), p, atol=1e-15)
+        np.testing.assert_allclose(cli.from_spec(spec), p, atol=1e-15)
 
     def test_custom_rejects_zero_column(self):
         with pytest.raises(ValueError):
-            markov.from_spec({"type": "custom",
+            cli.from_spec({"type": "custom",
                               "matrix": [[0.0, 0.0], [1.0, 0.0]]})
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
-            markov.from_spec({"type": "torus", "params": {}})
+            cli.from_spec({"type": "torus", "params": {}})
 
     def test_type_that_is_not_a_string(self):
         with pytest.raises(ValueError, match="unknown graph spec type"):
-            markov.from_spec({"type": ["cycle"], "params": {"n": 8}})
+            cli.from_spec({"type": ["cycle"], "params": {"n": 8}})
 
     def test_missing_param_names_it(self):
         with pytest.raises(ValueError, match="'n2'"):
-            markov.from_spec({"type": "win", "params": {"n1": 8}})
+            cli.from_spec({"type": "win", "params": {"n1": 8}})
 
     def test_unknown_params_are_named(self):
         with pytest.raises(ValueError, match="cycle spec takes no 'alpha', 'bogus'"):
-            markov.from_spec({"type": "cycle", "params": {"n": 8, "alpha": 0.5, "bogus": 1}})
+            cli.from_spec({"type": "cycle", "params": {"n": 8, "alpha": 0.5, "bogus": 1}})
         with pytest.raises(ValueError, match="cycle spec takes no 'matrix'"):
-            markov.from_spec({"type": "cycle", "params": {"n": 4}, "matrix": [[1.0]]})
+            cli.from_spec({"type": "cycle", "params": {"n": 4}, "matrix": [[1.0]]})
 
     @pytest.mark.parametrize("spec, name", [
         ({"type": "cycle", "params": {"n": None}}, "n"),
@@ -369,8 +369,8 @@ class TestFromSpec:
             "column-scalar", "offset-fraction", "matrix-object", "matrix-ragged"])
     def test_param_of_the_wrong_type_is_named(self, spec, name):
         with pytest.raises(ValueError, match=f"spec param '{name}' must be"):
-            markov.from_spec(spec)
+            cli.from_spec(spec)
 
     def test_integral_float_size_accepted(self):
         np.testing.assert_array_equal(
-            markov.from_spec({"type": "cycle", "params": {"n": 8.0}}), markov.cycle_graph(8))
+            cli.from_spec({"type": "cycle", "params": {"n": 8.0}}), markov.cycle_graph(8))

@@ -85,7 +85,7 @@ class TestExport:
         series = pagerank.run(oracle.walk_operator(p), p, steps=2)
         out = tmp_path / "series.csv"
         pagerank.export(series, out)
-        rows = [r for r in open(out) if not r.startswith("#")]
+        rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
         assert len(rows) == 1 + 2 * 2  # header + T*N data rows
 
     def test_round_trip_matches_printed_precision(self, tmp_path):
@@ -105,9 +105,10 @@ class TestExport:
         series = pagerank.run(oracle.walk_operator(p), p, steps=4)
         out = tmp_path / "w8.csv"
         pagerank.export(series, out, plot_path=tmp_path / "w8.svg")
-        rows = [r for r in open(out) if not r.startswith("#")]
+        rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
         assert len(rows) == 1 + 4 * 9
-        summary = [r for r in open(tmp_path / "w8_summary.csv") if not r.startswith("#")]
+        summary = [r for r in (tmp_path / "w8_summary.csv").read_text().splitlines()
+                   if not r.startswith("#")]
         assert len(summary) == 1 + 9
         svg = (tmp_path / "w8.svg").read_text()
         assert svg.count("<polyline") == 9

@@ -7,8 +7,7 @@ from szwalk import markov, oracle
 from szwalk.gates import (Circuit, Gate, compose, dagger, gate_count, on_qubits,
                           with_controls, x)
 from szwalk.simulator import apply, basis_state, unitary_of
-from szwalk.markov import NoSynthesis
-from szwalk.synth import (Decomposition, bipartite_parts,
+from szwalk.synth import (Decomposition, NoSynthesis, bipartite_parts,
                           circulant_parts, complete_parts, controlled_shift_transform,
                           cycle_parts, directed8_parts, kb_complete,
                           kb_cycle, shift_circuit, state_prep, synth_bipartite,
@@ -417,6 +416,18 @@ class TestPartitioned:
         p, records = self.k22_records()
         records[1] = (*records[1][:3], 1)
         with pytest.raises(ValueError, match=r"check failed for \(x=1, y=2\)"):
+            synth_partitioned(p, records)
+
+    @pytest.mark.parametrize("slot, value, got", [
+        (2, Circuit(3), "4, 3 and 0"), (3, 7, "4, 2 and 7"), (1, Circuit(6), "6, 2 and 0"),
+    ], ids=["prep-width", "basis-range", "gateless-transform-width"])
+    def test_record_of_the_wrong_size_names_its_subset(self, slot, value, got):
+        p, records = self.k22_records()
+        record = list(records[1])
+        record[slot] = value
+        records[1] = tuple(record)
+        with pytest.raises(ValueError, match=r"subset 1 needs a 4-qubit transform, a 2-qubit "
+                           r"preparation and a basis state in 0..3, got " + got):
             synth_partitioned(p, records)
 
     def test_partition_validation(self):
