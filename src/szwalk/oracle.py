@@ -5,9 +5,10 @@ For a column-stochastic P on N states the single step operator is
 ``|phi_i>`` holds the square roots of column i, and S swaps the two
 registers.  ``WalkOracle.apply`` is the oracle backend: it applies one
 step to a state in O(N^2) without forming any N^2 x N^2 matrix, so it runs
-at any N.  The dense matrix is the ground truth every synthesized circuit
-is verified against; it is built only on demand and guarded at N <= 64
-(matrix dimension 4096).
+at any N.  The dense matrix is built only on demand and guarded at N <= 64
+(matrix dimension 4096); it is the tests' ground truth, while
+``synth.verify`` compares circuits with the block structure that
+``columns`` gives, without forming it.
 
 A circuit acts on two registers of ``register_qubits(N)`` qubits each, so
 d = 2**n >= N.  One layout rule covers both sizes: a state of length d^2

@@ -4,13 +4,13 @@ States are complex vectors of length ``2**width`` indexed with qubit 0 as
 the most significant bit.  ``apply`` is purely functional (the caller's
 vector is never mutated); internally gates update amplitude slices in
 place, one gate at a time.  ``unitary_of`` runs the same kernel on the
-identity, one block of ``_BLOCK_AMPLITUDES`` amplitudes (16 columns at
-width 12) at a time, so each block stays in cache while every gate of the
-circuit passes over it; the arithmetic per column is unchanged, so the
-result is bit-identical to running the whole identity at once.  A walk
-state on two n-qubit registers is this vector viewed as a (2**n, 2**n)
-array (see ``oracle``), so register marginals are sums over one axis of
-that view.
+identity, or on just the basis columns asked for, one block of
+``_BLOCK_AMPLITUDES`` amplitudes (16 columns at width 12) at a time, so
+each block stays in cache while every gate of the circuit passes over it;
+the arithmetic per column is unchanged, so every column is bit-identical to
+running the whole identity at once.  A walk state on two n-qubit registers
+is this vector viewed as a (2**n, 2**n) array (see ``oracle``), so register
+marginals are sums over one axis of that view.
 """
 
 import math
@@ -96,18 +96,37 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     return _run(circuit, state.astype(complex, copy=True))
 
 
-def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Full unitary matrix of a circuit; column k is ``apply(c, |k>)``.
+def unitary_of(circuit: Circuit, columns=None) -> np.ndarray:
+    """Unitary matrix of a circuit; column k is ``apply(c, |k>)``.
 
-    The identity goes through the circuit one block of columns at a time.
+    With ``columns`` (a 1-D sequence of integer indices below 2**width,
+    repeats and any order allowed) only those columns are computed, in that
+    order, bit-identical to ``unitary_of(circuit)[:, columns]``.  The basis
+    states go through the circuit one block of columns at a time.
     """
     if circuit.width > UNITARY_WIDTH_GUARD:
         raise ValueError(f"unitary extraction limited to width {UNITARY_WIDTH_GUARD}, "
                          f"got {circuit.width}")
     dim = 2 ** circuit.width
-    cols = max(1, _BLOCK_AMPLITUDES // dim)
-    u = np.empty((dim, dim), dtype=complex)
-    for c0 in range(0, dim, cols):
-        k = min(cols, dim - c0)
-        u[:, c0:c0 + k] = _run(circuit, np.eye(dim, k, -c0, dtype=complex))
+    columns = np.arange(dim) if columns is None else _checked_columns(columns, dim)
+    block = max(1, _BLOCK_AMPLITUDES // dim)
+    u = np.empty((dim, columns.size), dtype=complex)
+    for c0 in range(0, columns.size, block):
+        cols = columns[c0:c0 + block]
+        basis = np.zeros((dim, cols.size), dtype=complex)
+        basis[cols, np.arange(cols.size)] = 1.0
+        u[:, c0:c0 + cols.size] = _run(circuit, basis)
     return u
+
+
+def _checked_columns(columns, dim: int) -> np.ndarray:
+    cols = np.asarray(columns)
+    if cols.ndim == 1 and cols.size == 0:
+        return np.zeros(0, dtype=int)
+    if cols.ndim != 1 or cols.dtype.kind not in "iu":
+        raise ValueError(f"columns must be a 1-D array of integer indices for dimension "
+                         f"{dim}, got shape {cols.shape} of dtype {cols.dtype}")
+    if cols.min() < 0 or cols.max() >= dim:
+        raise ValueError(f"columns must lie in [0, {dim}) for dimension {dim}, "
+                         f"got indices from {cols.min()} to {cols.max()}")
+    return cols

@@ -22,7 +22,8 @@ per assembled walk circuit (not per segment) to recover the reflection
 out wrong whenever the number of segments is even.
 
 Correctness of each synthesizer is defined by ``verify``: exact agreement
-with the dense oracle on the valid subspace, and no leakage out of it.
+with Szegedy's walk S (2 Pi - I) on the valid subspace, and no leakage out
+of it.
 A valid chain outside a builder's domain raises ``NoSynthesis``; the CLI falls back to the oracle.
 """
 
@@ -551,25 +552,32 @@ class VerifyReport:
 
 
 def verify(circuit: Circuit, p: np.ndarray, tolerance: float = 1e-10) -> VerifyReport:
-    """Compare a walk circuit against the dense oracle on the valid subspace.
+    """Compare a walk circuit with the walk S (2 Pi - I) on the valid subspace.
 
-    The unitary is viewed as (d, d, d, d) over output (i, j) and input
-    (k, l) register values, d = 2^n; its valid columns are ``[..., :N, :N]``.
-    ``max_deviation`` is the largest entrywise difference on the valid
-    block, ``leakage`` the largest amplitude a valid column acquires on an
-    output state with i >= N or j >= N.  A negative or non-finite
-    ``tolerance`` raises ValueError.
+    Only the N^2 valid input columns (k, l < N) of the unitary are run, viewed
+    as (d, d, N, N) over output (i, j) and input (k, l) register values,
+    d = 2^n.  ``max_deviation`` is the largest entrywise difference from the
+    walk on the valid block, where column (k, l) of the walk is
+    ``2 phi_k[i] phi_k[l] - [i = l]`` on rows j = k and zero elsewhere;
+    ``leakage`` is the largest amplitude a valid column acquires on an output
+    state with i >= N or j >= N.  P is validated before the circuit runs.  A
+    negative or non-finite ``tolerance`` raises ValueError.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     p = np.asarray(p, dtype=float)
     n_states = p.shape[0]
     d = 2 ** circuit_registers(circuit.width, n_states)
-    u = unitary_of(circuit).reshape(d, d, d, d)[..., :n_states, :n_states]
+    phi = walk_operator(p).columns
+    valid = (d * np.arange(n_states)[:, None] + np.arange(n_states)).reshape(-1)
+    u = unitary_of(circuit, valid).reshape(d, d, n_states, n_states)
     leak = float(max(np.abs(u[n_states:]).max(initial=0.0),
                      np.abs(u[:n_states, n_states:]).max(initial=0.0)))
     block = u[:n_states, :n_states]
-    block -= walk_operator(p).matrix.reshape((n_states,) * 4)
-    dev = float(np.abs(block).max())
+    # term[i, k, l] = 2 phi_k[i] phi_k[l] - [i = l], as the reflection stores it
+    term = 2.0 * (phi.T[:, :, None] * phi[None, :, :])
+    np.einsum("iki->ik", term)[...] -= 1.0
+    np.einsum("ikkl->ikl", block)[...] -= term
+    dev = float(np.max([np.abs(rows).max() for rows in block]))
     return VerifyReport(max_deviation=dev, leakage=leak, tolerance=tolerance,
                         passed=dev <= tolerance and leak <= tolerance)

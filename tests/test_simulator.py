@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from szwalk import gates
+from szwalk import gates, simulator
 from szwalk.gates import Circuit, compose
 from szwalk.simulator import _apply_gate, apply, basis_state, unitary_of
 from helpers import random_circuit
@@ -63,6 +63,16 @@ class TestUnitaryOf:
         with pytest.raises(ValueError):
             unitary_of(Circuit(13))
 
+    def test_empty_columns(self):
+        for cols in ([], np.array([], dtype=np.int64)):
+            assert unitary_of(Circuit(3, [gates.h(0)]), cols).shape == (8, 0)
+
+    @pytest.mark.parametrize("cols", [[8], [-1], [0.0, 1.0], [[0, 1]], [True, False]],
+                             ids=["past-end", "negative", "float", "2-D", "bool"])
+    def test_bad_columns_name_columns_and_dimension(self, cols):
+        with pytest.raises(ValueError, match=r"columns.*dimension 8"):
+            unitary_of(Circuit(3, [gates.h(0)]), cols)
+
 
 class TestInvariants:
     def test_norm_preservation(self):
@@ -114,6 +124,28 @@ class TestMatchesGateByGate:
         s[::3] = -0.0
         assert_bit_identical(apply(c, s), gate_by_gate(c, s))
         assert_bit_identical(unitary_of(c), gate_by_gate(c, np.eye(dim)))
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_column_subsets_match_full_unitary(self, width):
+        rng = np.random.default_rng(200 + width)
+        c = random_circuit(rng, width, 24)
+        dim = 2 ** width
+        full = unitary_of(c)
+        k = min(dim, 5)
+        subsets = {"sorted": np.sort(rng.choice(dim, k, replace=False)),
+                   "unsorted": rng.permutation(dim)[:k],
+                   "repeated": rng.integers(0, dim, 2 * k)}
+        if width == 10:   # 64 columns per block at width 10
+            subsets["several blocks"] = rng.permutation(dim)[:300]
+        for cols in subsets.values():
+            assert_bit_identical(unitary_of(c, cols), full[:, cols])
+
+    def test_column_subsets_with_one_column_per_block(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_BLOCK_AMPLITUDES", 1)
+        rng = np.random.default_rng(211)
+        c = random_circuit(rng, 5, 24)
+        cols = [31, 0, 7, 7, 12]
+        assert_bit_identical(unitary_of(c, cols), gate_by_gate(c, np.eye(32))[:, cols])
 
     def test_x_and_swap_only(self):
         c = Circuit(4, [gates.x(0), gates.swap(1, 3, [(0, 1)]), gates.x(2, [(1, 0), (3, 1)]),

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from szwalk import markov, oracle
+from szwalk import cli, markov, oracle, synth
 from szwalk.gates import (Circuit, Gate, compose, dagger, gate_count, on_qubits,
-                          with_controls, x)
+                          ry, with_controls, x)
 from szwalk.simulator import apply, basis_state, unitary_of
 from szwalk.synth import (Decomposition, NoSynthesis, bipartite_parts,
                           circulant_parts, complete_parts, controlled_shift_transform,
@@ -16,6 +16,7 @@ from szwalk.synth import (Decomposition, NoSynthesis, bipartite_parts,
                           partitioned_parts, synth_partitioned, synth_single_reference,
                           synth_tensor, synth_wheel, synth_win_cycles,
                           tensor_parts, verify, wheel_parts, win_cycles_parts)
+from test_golden import LARGER_SYNTH_SPECS, SYNTH_SPECS
 
 
 def member_transform(t, y, n):
@@ -471,6 +472,79 @@ class TestVerify:
     def test_report_dict_shape(self):
         d = verify(synth_k2(), markov.complete_graph(2)).as_dict()
         assert set(d) == {"max_deviation", "leakage", "tolerance", "passed"}
+
+
+def dense_verify(circuit, p):
+    """(max_deviation, leakage) the dense way: the full unitary minus the
+    dense N^2 x N^2 walk operator on the valid block."""
+    n = p.shape[0]
+    d = 2 ** oracle.circuit_registers(circuit.width, n)
+    u = unitary_of(circuit).reshape(d, d, d, d)[..., :n, :n]
+    leak = float(max(np.abs(u[n:]).max(initial=0.0), np.abs(u[:n, n:]).max(initial=0.0)))
+    block = u[:n, :n]
+    block -= oracle.walk_operator(p).matrix.reshape((n,) * 4)
+    return float(np.abs(block).max()), leak
+
+
+GOLDEN_UP_TO_N5 = [(kind, params) for kind, (params, _) in SYNTH_SPECS.items()]
+GOLDEN_UP_TO_N5 += [(kind, params) for kind, params, _ in LARGER_SYNTH_SPECS
+                    if cli.build_walk({"type": kind, "params": params})[1].shape[0] <= 32]
+
+
+def _without_final_swaps(circuit, count):
+    assert all(g.kind == "SWAP" for g in circuit.gates[-count:])
+    return Circuit(circuit.width, list(circuit.gates[:-count]))
+
+
+def _wrong_circulant():
+    rng = np.random.default_rng(41)
+    column, wrong = rng.random(16), rng.random(16)
+    return (synth_circulant(np.sqrt(column / column.sum())),
+            markov.circulant(wrong / wrong.sum()))
+
+
+# (circuit, chain) pairs that verify must fail
+FAILING = {
+    "wrong-circulant": _wrong_circulant,
+    "cycle-on-complete": lambda: (synth_cycle(3), markov.complete_graph(8)),
+    "leaking-x": lambda: (Circuit(4, [x(0)]), np.full((3, 3), 1 / 3)),
+    # 2 Pi - I, the walk without its register swap
+    "no-final-swaps": lambda: (_without_final_swaps(synth_complete(2), 2),
+                               markov.complete_graph(4)),
+    # a small rotation of register 2: the largest error lies on rows j != k
+    "rotated-register-2": lambda: (compose(synth_complete(2), Circuit(4, [ry(3, 0.1)])),
+                                   markov.complete_graph(4)),
+}
+
+
+class TestVerifyMatchesDenseReference:
+    @pytest.mark.parametrize("kind, params", GOLDEN_UP_TO_N5,
+                             ids=["-".join([kind, *map(str, params.values())])
+                                  for kind, params in GOLDEN_UP_TO_N5])
+    def test_golden_families(self, kind, params):
+        _, p, synthesize = cli.build_walk({"type": kind, "params": params})
+        c = synthesize()
+        report = verify(c, p)
+        assert (report.max_deviation, report.leakage) == dense_verify(c, p)
+        assert report.passed
+
+    @pytest.mark.parametrize("case", FAILING)
+    def test_failing_circuits(self, case):
+        c, p = FAILING[case]()
+        report = verify(c, p)
+        assert (report.max_deviation, report.leakage) == dense_verify(c, p)
+        assert not report.passed
+
+    def test_missing_swap_fails_with_two_thirds(self):
+        c = _without_final_swaps(synth_complete(2), 2)
+        assert verify(c, markov.complete_graph(4)).max_deviation == pytest.approx(2 / 3)
+
+    def test_bad_chain_rejected_before_the_circuit_runs(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("unitary_of ran on an invalid chain")
+        monkeypatch.setattr(synth, "unitary_of", unreachable)
+        with pytest.raises(ValueError, match="invalid transition matrix"):
+            verify(synth_cycle(2), np.full((4, 4), 0.3))
 
 
 class TestShiftDirections:
